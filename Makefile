@@ -62,11 +62,11 @@ bench-sweep:
 # allocation counting and check the measurements in as a sorted-key JSON
 # artifact. Compare BENCH_PR*.json files across PRs with
 # `go run ./cmd/benchjson -compare` to see the trend.
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR12.json
 bench-json:
 	$(GO) test -run=NONE -bench='BenchmarkRun|BenchmarkBiasMargins' -benchmem ./internal/jsim \
 		> bench-json.tmp
-	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkJSIMTransient|BenchmarkFig20BufferSweepWarm' -benchmem . \
+	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkJSIMTransient|BenchmarkFig20BufferSweepWarm|BenchmarkRunAllSerial|BenchmarkSimulateCold' -benchmem . \
 		>> bench-json.tmp
 	$(GO) run ./cmd/benchjson < bench-json.tmp > $(BENCH_JSON)
 	@rm -f bench-json.tmp
@@ -78,11 +78,11 @@ BENCH_THRESHOLD ?= 1.5
 
 # CI smoke: every benchmark must still compile and survive one iteration,
 # plus a warm-sweep pass and the recorded-trajectory drift gate between
-# the two committed artifacts.
+# the two latest committed artifacts.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='BenchmarkFig20BufferSweepWarm' -benchtime=3x .
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) BENCH_PR6.json BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) BENCH_PR10.json BENCH_PR12.json
 
 repro:
 	$(GO) run ./cmd/supernpu-repro -v
@@ -103,12 +103,14 @@ cover:
 			else { printf "%s coverage %s%% (floor %s%%)\n", pkg, pct, floor } }' || exit 1; \
 	done
 
-# Short fuzzing passes over the request decoders and the cache keys.
+# Short fuzzing passes over the request decoders, the cache keys and the
+# tile classes.
 # Seed corpora are checked in under */testdata/fuzz and always run in
 # `make test`; this target additionally mutates for FUZZTIME per target.
 fuzz:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequests -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/simcache -run='^$$' -fuzz=FuzzKeyInjectivity -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mapper -run='^$$' -fuzz=FuzzClasses -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz=FuzzPromEscape -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/lint -run='^$$' -fuzz=FuzzSARIFEscape -fuzztime=$(FUZZTIME)
 

@@ -1,23 +1,13 @@
 // Package mapper computes the weight mappings of a layer onto a
 // weight-stationary systolic array: the tiling of the layer's (R·S·C)
 // weight positions over the PE rows and of its M filters over the PE
-// columns and register planes. The cycle-based performance simulator and
-// the functional cycle-stepped array consume exactly the same tiles, so the
-// two models are tied to one mapping policy.
+// columns and register planes. The functional cycle-stepped array walks the
+// tiles one by one; the cycle-based performance simulators charge the same
+// tiles in closed form through their classes, so both models are tied to
+// one mapping policy.
 package mapper
 
-import (
-	"supernpu/internal/simcache"
-	"supernpu/internal/workload"
-)
-
-// tileCache memoises Tiles by (layer shape, array geometry): the same tile
-// plans are re-derived at every sweep point and batch resolution of
-// Figs. 20–22. Cached slices are shared between callers and must be
-// treated as read-only.
-var tileCache = simcache.New[[]Tile]()
-
-func init() { simcache.Register("mapper.tiles", tileCache) }
+import "supernpu/internal/workload"
 
 // Tile is one weight mapping.
 type Tile struct {
@@ -37,8 +27,19 @@ type Tile struct {
 	Channel int
 }
 
+// Class is a set of a layer's tiles that agree on every field a cycle
+// model charges by — Rows, Filters, Cols, Regs, Channels and FirstRowTile —
+// and so cost the same. Tile is the class's first tile in Tiles order; its
+// offsets locate only that tile. Count is the number of tiles in the class.
+type Class struct {
+	Tile
+	Count int
+}
+
 // Tiles enumerates the layer's weight mappings on an array of the given
-// height (rows), width (columns) and registers per PE.
+// height (rows), width (columns) and registers per PE. Each call builds a
+// fresh slice; the functional array model needs the per-tile offsets, the
+// cycle models use Classes instead.
 //
 // Registers engage only when a tile's filter count exceeds the array width:
 // each engaged register plane trades one streaming pass for a column's
@@ -47,36 +48,14 @@ type Tile struct {
 // Depthwise layers reduce within one channel only, so each channel maps
 // separately onto R·S rows and a single column — the structural
 // underutilisation the paper observes on MobileNet.
-//
-// Results are memoised by (layer shape, height, width, registers) while
-// layer-grain caching is enabled; the returned slice is then shared
-// between callers, who must not modify it.
 func Tiles(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.Pool {
 		return nil
 	}
-	if !simcache.LayerGrainEnabled() {
-		return enumerate(l, height, width, registers)
-	}
-	tiles, _ := tileCache.GetOrCompute(simcache.TilesKey(l.Shape(), height, width, registers),
-		func() ([]Tile, error) { return enumerate(l, height, width, registers), nil })
-	return tiles
-}
-
-// enumerate is the uncached tile-plan derivation.
-func enumerate(l workload.Layer, height, width, registers int) []Tile {
 	if l.Kind == workload.DepthwiseConv {
-		tiles := make([]Tile, 0, l.C)
-		rows := l.R * l.S
-		if rows > height {
-			rows = height
-		}
-		for c := 0; c < l.C; c++ {
-			tiles = append(tiles, Tile{
-				RowOffset: 0, Rows: rows,
-				ColBase: c, Filters: 1, Cols: 1, Regs: 1,
-				FirstRowTile: true, Channels: 1, Channel: c,
-			})
+		tiles := make([]Tile, l.C)
+		for c := range tiles {
+			tiles[c] = depthwiseTile(l, height, c)
 		}
 		return tiles
 	}
@@ -85,29 +64,79 @@ func enumerate(l workload.Layer, height, width, registers int) []Tile {
 	filtersPerTile := width * registers
 	var tiles []Tile
 	for rowOff := 0; rowOff < rsc; rowOff += height {
-		rows := rsc - rowOff
-		if rows > height {
-			rows = height
-		}
 		for m := 0; m < l.M; m += filtersPerTile {
-			filters := l.M - m
-			if filters > filtersPerTile {
-				filters = filtersPerTile
-			}
-			regs := (filters + width - 1) / width
-			cols := (filters + regs - 1) / regs
-			tiles = append(tiles, Tile{
-				RowOffset: rowOff, Rows: rows,
-				ColBase: m, Filters: filters, Cols: cols, Regs: regs,
-				FirstRowTile: rowOff == 0,
-				Channels:     (rows + l.R*l.S - 1) / (l.R * l.S),
-			})
+			tiles = append(tiles, tile(l, height, width, registers, rowOff, m))
 		}
-	}
-	for i := range tiles {
-		tiles[i].Channel = -1
 	}
 	return tiles
+}
+
+// Classes returns the layer's tiles grouped into classes, in Tiles order of
+// each class's first tile, so that count-weighted sums over the classes
+// equal per-tile sums over Tiles.
+//
+// The row tiles of a non-depthwise layer are the first one, the full
+// continuing ones and a partial tail; its filter tiles are the full
+// width·registers ones and a tail. Every tile field the cycle models read
+// depends only on which of those it is, so a layer has at most 3×2 = 6
+// classes. A depthwise layer's C channel tiles form one class.
+func Classes(l workload.Layer, height, width, registers int) []Class {
+	if l.Kind == workload.Pool || l.C <= 0 {
+		return nil
+	}
+	if l.Kind == workload.DepthwiseConv {
+		return []Class{{Tile: depthwiseTile(l, height, 0), Count: l.C}}
+	}
+	rsc := l.R * l.S * l.C
+	if rsc <= 0 || l.M <= 0 {
+		return nil
+	}
+
+	// A run is a contiguous span of like tiles: its first offset, length.
+	type run struct{ start, count int }
+	rowTiles := (rsc + height - 1) / height
+	rowRuns := []run{{0, 1}, {height, rowTiles - 1}}
+	if rsc%height != 0 && rowTiles > 1 {
+		rowRuns = []run{{0, 1}, {height, rowTiles - 2}, {(rowTiles - 1) * height, 1}}
+	}
+	filtersPerTile := width * registers
+	full := l.M / filtersPerTile
+	filterRuns := []run{{0, full}, {full * filtersPerTile, min(l.M%filtersPerTile, 1)}}
+
+	classes := make([]Class, 0, len(rowRuns)*len(filterRuns))
+	for _, r := range rowRuns {
+		for _, f := range filterRuns {
+			if n := r.count * f.count; n > 0 {
+				classes = append(classes, Class{Tile: tile(l, height, width, registers, r.start, f.start), Count: n})
+			}
+		}
+	}
+	return classes
+}
+
+// tile builds the non-depthwise tile whose rows start at rowOff and whose
+// filters start at colBase.
+func tile(l workload.Layer, height, width, registers, rowOff, colBase int) Tile {
+	rows := min(height, l.R*l.S*l.C-rowOff)
+	filters := min(width*registers, l.M-colBase)
+	regs := (filters + width - 1) / width
+	return Tile{
+		RowOffset: rowOff, Rows: rows,
+		ColBase: colBase, Filters: filters, Cols: (filters + regs - 1) / regs, Regs: regs,
+		FirstRowTile: rowOff == 0,
+		Channels:     (rows + l.R*l.S - 1) / (l.R * l.S),
+		Channel:      -1,
+	}
+}
+
+// depthwiseTile is the mapping of channel c of a depthwise layer: R·S rows
+// (clipped to the array height) against that channel's single filter.
+func depthwiseTile(l workload.Layer, height, c int) Tile {
+	return Tile{
+		RowOffset: 0, Rows: min(l.R*l.S, height),
+		ColBase: c, Filters: 1, Cols: 1, Regs: 1,
+		FirstRowTile: true, Channels: 1, Channel: c,
+	}
 }
 
 // MACs returns the useful multiply-accumulates of the tile for one output

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
 
@@ -86,6 +87,30 @@ func TestPoolHasNoTiles(t *testing.T) {
 		H: 8, W: 8, C: 4, R: 2, S: 2, M: 4, Stride: 2}
 	if got := Tiles(p, 256, 64, 1); got != nil {
 		t.Fatalf("pool layers map no tiles, got %v", got)
+	}
+	if got := Classes(p, 256, 64, 1); got != nil {
+		t.Fatalf("pool layers have no tile classes, got %v", got)
+	}
+}
+
+// A pool layer maps no tiles and no classes at any geometry, and tile
+// mapping is a pure function: no lookup leaves state in a registered cache.
+func TestTilesPoolBypassesCache(t *testing.T) {
+	simcache.ClearAll()
+	t.Cleanup(simcache.ClearAll)
+	p := workload.Layer{Name: "pool", Kind: workload.Pool, H: 14, W: 14, C: 8, R: 2, S: 2, M: 8, Stride: 2}
+	if got := Tiles(p, 64, 64, 2); got != nil {
+		t.Errorf("pool layer produced tiles: %+v", got)
+	}
+	if got := Classes(p, 64, 64, 2); got != nil {
+		t.Errorf("pool layer produced tile classes: %+v", got)
+	}
+	Tiles(conv(14, 8, 3, 100), 64, 64, 2)
+	Classes(conv(14, 8, 3, 100), 64, 64, 2)
+	for _, st := range simcache.Snapshot() {
+		if st.Entries != 0 || st.Hits+st.Misses != 0 {
+			t.Errorf("tile mapping touched cache %s: %+v", st.Name, st)
+		}
 	}
 }
 

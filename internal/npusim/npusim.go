@@ -20,17 +20,14 @@ import (
 	"fmt"
 	"math"
 
-	"supernpu/internal/guard"
-
 	"supernpu/internal/arch"
 	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
+	"supernpu/internal/guard"
 	"supernpu/internal/mapper"
 	"supernpu/internal/obs"
-	"supernpu/internal/parallel"
 	"supernpu/internal/sfq"
 	"supernpu/internal/simcache"
-	"supernpu/internal/srmem"
 	"supernpu/internal/workload"
 )
 
@@ -41,28 +38,12 @@ import (
 // shared between callers and must be treated as read-only.
 var cache = simcache.New[*Report]()
 
-// layerCache memoises the core tile walk of simulateLayer beneath the
-// whole-simulation cache, keyed by (core projection, layer shape, batch).
-// The cached core excludes the per-mapping shift-register unit costs —
-// ifmap recirculation and psum inter-buffer movement — which are linear
-// in the tile counts and applied per caller (applyUnitCosts), so sweep
-// points that vary only buffer division or non-fit-flipping capacity
-// share one walk, as do repeated shapes within one network. Nominal runs
-// only — the faulted path keeps its per-layer site-keyed draws (see
-// simulate).
-var layerCache = simcache.New[layerCore]()
+func init() { simcache.Register("npusim", cache) }
 
-func init() {
-	simcache.Register("npusim", cache)
-	simcache.Register("npusim.layer", layerCache)
-}
-
-// layerSites counts the compute-layer sites accumulated by nominal
-// (fault-free) simulations — each site is one per-layer simulation that
-// would run without the layer-grain cache. Divided by the npusim.layer
-// cache's miss count it yields the measured dedup factor (EXPERIMENTS.md).
+// layerSites counts the compute-layer sites charged by nominal
+// (fault-free) simulations, one per layer per simulation run.
 var layerSites = obs.Default.Counter("supernpu_npusim_layer_sites_total",
-	"compute-layer sites accumulated by nominal npusim simulations")
+	"compute-layer sites charged by nominal npusim simulations")
 
 // BatchCap is the paper's conservative batch ceiling: Table II never sets a
 // batch above 30 even when the buffers would hold more ("there is room to
@@ -106,14 +87,14 @@ func MaxBatch(cfg arch.Config, net workload.Network) int {
 }
 
 // layerFits reports whether the layer's batch-B activations stay on-chip.
-func layerFits(p simcache.LayerProj, l workload.Layer, batch int) bool {
+func layerFits(cfg arch.Config, l workload.Layer, batch int) bool {
 	var bIn int
-	if p.IfmapChunks == 1 {
-		bIn = p.IfmapBufBytes / p.ArrayHeight / (l.H * l.W)
+	if cfg.IfmapChunks == 1 {
+		bIn = cfg.IfmapBufBytes / cfg.ArrayHeight / (l.H * l.W)
 	} else {
-		bIn = p.IfmapBufBytes / (l.H * l.W * l.C)
+		bIn = cfg.IfmapBufBytes / (l.H * l.W * l.C)
 	}
-	bOut := p.OutputBufBytes / p.ArrayWidth / (l.OutH() * l.OutW())
+	bOut := cfg.OutputBufBytes / cfg.ArrayWidth / (l.OutH() * l.OutW())
 	return batch <= bIn && batch <= bOut
 }
 
@@ -251,161 +232,63 @@ func (r *Report) PrepFraction() float64 {
 // cyclesPerByte converts DRAM bytes into NPU cycles at frequency f.
 func cyclesPerByte(f, bandwidth float64) float64 { return f / bandwidth }
 
-// layerCore is the cached portion of one layer simulation: the tile-walk
-// stats without the per-mapping shift-register unit costs, plus the
-// continuing-row tile count those costs multiply against.
-type layerCore struct {
-	Stats       LayerStats // Layer is zeroed; applyUnitCosts restores it
-	NonFirstRow int        // tiles that re-inject partial sums
-}
-
-// recirculateCycles is the per-mapping ifmap repositioning cost: the data
-// consumed by the previous mapping must rotate back to the chunk head
-// before it can stream again — a full-buffer rotation when monolithic,
-// one chunk when divided. The geometry is rebuilt from the projection
-// exactly as arch.Config.IfmapBuf builds it.
-func recirculateCycles(p simcache.LayerProj) int64 {
-	ifBuf := srmem.Config{WidthBytes: p.ArrayHeight, CapacityBytes: p.IfmapBufBytes, Chunks: p.IfmapChunks}
-	return int64(ifBuf.RecirculateCycles())
-}
-
-// psumMoveCycles is the per-continuing-tile partial-sum re-injection
-// cost. Separate psum/ofmap buffers pay the inter-buffer walk
-// (Fig. 16 ①); the integrated buffer just re-selects the chunk, for
-// free. Geometries rebuilt exactly as arch.Config.OutputBuf/PsumBuf.
-func psumMoveCycles(p simcache.LayerProj) int64 {
-	if p.IntegratedOutput {
-		return 0
-	}
-	outBuf := srmem.Config{WidthBytes: p.ArrayWidth, CapacityBytes: p.OutputBufBytes, Chunks: p.OutputChunks}
-	psumBuf := srmem.Config{WidthBytes: p.ArrayWidth, CapacityBytes: p.PsumBufBytes, Chunks: 1}
-	return int64(outBuf.InterBufferMoveCycles(psumBuf, p.PsumBufBytes))
-}
-
-// coreProj reduces the full projection to the fields the cached tile walk
-// reads, resolving the layer's batch-fit decision into its Fits bit. The
-// buffer capacities and divisions drop out here: beyond the fit bit they
-// only reach a layer through the per-mapping unit costs above.
-func coreProj(p simcache.LayerProj, l workload.Layer, batch int) simcache.LayerCoreProj {
-	return simcache.LayerCoreProj{
-		ArrayHeight: p.ArrayHeight, ArrayWidth: p.ArrayWidth,
-		Registers:      p.Registers,
-		PipelineStages: p.PipelineStages,
-		CyclesPerByte:  p.CyclesPerByte,
-		Fits:           layerFits(p, l, batch),
-	}
-}
-
-// simulateLayerCore runs the weight-mapping loop of one layer, polling
-// for cancellation once per weight mapping so a canceled simulation stops
-// mid-layer instead of charging the full tile walk.
-//
-// It reads the configuration only through the reduced core projection
-// (and the layer only through shape-derived quantities), which is what
-// makes the layer-grain cache key complete by construction: two configs
-// with equal core projections cannot produce different cores here.
-func simulateLayerCore(ctx context.Context, cp simcache.LayerCoreProj, l workload.Layer, batch int) (layerCore, error) {
-	var core layerCore
-	st := &core.Stats
-	var w guard.Watch
-	w.Arm(ctx)
-	defer w.Disarm()
-
+// simulateLayer charges one compute layer's weight mappings in closed
+// form: each charge below is what one tile of a class costs, times the
+// class's tile count. Every per-tile charge, the float-to-int DRAM
+// truncations included, reads only fields a class shares, so the sums are
+// bit-identical to charging the tiles one by one.
+func simulateLayer(cfg arch.Config, l workload.Layer, batch int, cpb float64) LayerStats {
+	st := LayerStats{Layer: l}
 	ef := int64(l.OutH() * l.OutW())
-	peStages := cp.PipelineStages
-	cpb := cp.CyclesPerByte
+	b := int64(batch)
+	peStages := cfg.PECfg().PipelineStages()
+	fits := layerFits(cfg, l, batch)
+	// The ifmap data a mapping consumed must rotate back to its chunk head
+	// before the next mapping streams it: a full-buffer rotation when
+	// monolithic, one chunk when divided.
+	recirculate := int64(cfg.IfmapBuf().RecirculateCycles())
+	// Continuing row tiles re-inject the previous partial sums: separate
+	// psum/ofmap buffers pay the inter-buffer walk (Fig. 16 ①); the
+	// integrated buffer just re-selects the chunk, for free.
+	var psumMove int64
+	if !cfg.IntegratedOutput {
+		psumMove = int64(cfg.OutputBuf().InterBufferMoveCycles(cfg.PsumBuf(), cfg.PsumBufBytes))
+	}
 
-	for _, t := range mapper.Tiles(l, cp.ArrayHeight, cp.ArrayWidth, cp.Registers) {
-		if w.Canceled() {
-			return layerCore{}, w.Err()
-		}
-		st.Mappings++
+	for _, c := range mapper.Classes(l, cfg.ArrayHeight, cfg.ArrayWidth, cfg.Registers) {
+		n := int64(c.Count)
+		st.Mappings += c.Count
 
 		// Computation: the array streams B·E·F pixels, each presented
 		// `regs` consecutive cycles, plus pipeline fill and drain through
 		// the array's gate-level stages.
-		st.ComputeCycles += int64(batch)*ef*int64(t.Regs) + int64(t.Rows*peStages+t.Cols+t.Regs)
+		st.ComputeCycles += n * (b*ef*int64(c.Regs) + int64(c.Rows*peStages+c.Cols+c.Regs))
 
 		// Weights: stream from DRAM through the weight buffer, then shift
 		// down the columns (one pass per engaged register plane).
-		wBytes := int64(t.Rows) * int64(t.Filters)
-		st.WeightCycles += int64(t.Rows * t.Regs)
-		st.DRAMCycles += int64(float64(wBytes) * cpb)
-		st.DRAMBytes += wBytes
+		wBytes := int64(c.Rows) * int64(c.Filters)
+		st.WeightCycles += n * int64(c.Rows*c.Regs)
+		st.DRAMCycles += n * int64(float64(wBytes)*cpb)
+		st.DRAMBytes += n * wBytes
 
-		// Ifmap streaming (the recirculation charge itself is a per-mapping
-		// unit cost, applied by applyUnitCosts).
-		st.BufferBytes += int64(batch) * int64(l.H*l.W*t.Channels)
-
-		// Continuing row tiles re-inject the previous partial sums; the
-		// per-tile movement charge is likewise applied by applyUnitCosts.
-		if !t.FirstRowTile {
-			core.NonFirstRow++
+		// Ifmap streaming and recirculation, then the outputs.
+		ifBytes := b * int64(l.H*l.W*c.Channels)
+		st.IfmapMoveCycles += n * recirculate
+		st.BufferBytes += n * (ifBytes + b*ef*int64(c.Filters))
+		if !c.FirstRowTile {
+			st.PsumMoveCycles += n * psumMove
 		}
-		st.BufferBytes += int64(batch) * ef * int64(t.Filters)
 
 		// Spilled activations: when the batch does not fit, every mapping
 		// re-fetches its ifmap slice from DRAM.
-		if !cp.Fits {
-			spill := int64(batch) * int64(l.H*l.W*t.Channels)
-			st.DRAMCycles += int64(float64(spill) * cpb)
-			st.DRAMBytes += spill
+		if !fits {
+			st.DRAMCycles += n * int64(float64(ifBytes)*cpb)
+			st.DRAMBytes += n * ifBytes
 		}
 
-		st.MACs += t.MACs(batch, ef)
+		st.MACs += n * c.MACs(batch, ef)
 	}
-	return core, nil
-}
-
-// applyUnitCosts completes a (possibly cached) core into the caller's
-// LayerStats. The ifmap recirculation and psum movement charges are
-// constant per (continuing) mapping, so they distribute over the walk as
-// exact integer multiples — byte-identical to charging them inside the
-// loop — and the caller's own layer is restored so reports keep their
-// display names.
-func applyUnitCosts(core layerCore, p simcache.LayerProj, l workload.Layer) LayerStats {
-	st := core.Stats
-	st.Layer = l
-	st.IfmapMoveCycles += int64(core.Stats.Mappings) * recirculateCycles(p)
-	st.PsumMoveCycles += int64(core.NonFirstRow) * psumMoveCycles(p)
 	return st
-}
-
-// simulateLayer runs one layer simulation directly, bypassing the
-// layer-grain cache: the core tile walk plus the per-mapping unit costs.
-func simulateLayer(ctx context.Context, p simcache.LayerProj, l workload.Layer, batch int) (LayerStats, error) {
-	if l.Kind == workload.Pool {
-		return LayerStats{Layer: l}, nil
-	}
-	core, err := simulateLayerCore(ctx, coreProj(p, l, batch), l, batch)
-	if err != nil {
-		return LayerStats{}, err
-	}
-	return applyUnitCosts(core, p, l), nil
-}
-
-// simulateLayerCached serves one layer simulation through the layer-grain
-// cache. The cached core is computed from a name-free rehydration of the
-// layer's shape, so every layer of that shape — in this network, any
-// other network, or any sweep point whose core projection matches —
-// shares it. With layer-grain caching disabled it degrades to the direct
-// tile walk.
-func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.Layer, batch int) (LayerStats, error) {
-	if !simcache.LayerGrainEnabled() {
-		return simulateLayer(ctx, p, l, batch)
-	}
-	if l.Kind == workload.Pool {
-		return LayerStats{Layer: l}, nil
-	}
-	shape := l.Shape()
-	cp := coreProj(p, l, batch)
-	core, err := layerCache.GetOrCompute(simcache.LayerKey(cp, shape, batch), func() (layerCore, error) {
-		return simulateLayerCore(ctx, cp, shape.Layer(""), batch)
-	})
-	if err != nil {
-		return LayerStats{}, err
-	}
-	return applyUnitCosts(core, p, l), nil
 }
 
 // Simulate runs the network at the given batch size on the design and
@@ -417,8 +300,8 @@ func simulateLayerCached(ctx context.Context, p simcache.LayerProj, l workload.L
 // same inputs return one shared *Report, which callers must treat as
 // read-only. Validation and batch resolution happen inside the memoised
 // computation, so a cache hit costs only the key construction and lookup.
-// Cancellation of ctx aborts the per-layer fan-out and the per-tile mapping
-// loop; a canceled computation is evicted from the cache, not memoised.
+// Cancellation of ctx aborts the simulation between layers; a canceled
+// computation is evicted from the cache, not memoised.
 func Simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int) (*Report, error) {
 	if batch < 0 {
 		return nil, fmt.Errorf("npusim: batch %d must be non-negative (0 selects MaxBatch)", batch)
@@ -478,19 +361,11 @@ func simSite(cfg arch.Config, net workload.Network, batch int) string {
 	return fmt.Sprintf("npusim/%s/%s/%d", cfg.Name, net.Name, batch)
 }
 
-// simulate is the uncached simulation. Layers are mutually independent —
-// every cycle charge is a function of the layer's own shape — so their
-// LayerStats fan out across workers; the report accumulates them in layer
-// order afterwards, keeping the totals bit-identical to a serial run.
-//
-// Nominal runs dedup repeated shapes before the fan-out: one warm pass
-// simulates each unique (projection, shape, batch) once through the
-// layer-grain cache, then every site's lookup hits and the LayerStats are
-// replicated by multiplicity. A non-nil enabled fault model disables the
-// dedup — its pulse-drop retries and bit flips are drawn per layer *site*
-// (keyed by the layer's name), so two same-shaped layers legitimately
-// differ — and every draw is keyed by the layer's own site, so the
-// fan-out order cannot perturb the result.
+// simulate is the uncached simulation: one closed-form charge per compute
+// layer, accumulated in layer order, with ctx polled once per layer. Under
+// an enabled fault model the pulse-drop retries and bit flips are drawn per
+// layer site (keyed by the layer's name), so two same-shaped layers
+// legitimately differ and the report stays byte-identical across runs.
 func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch int, fm *faultinject.Model) (*Report, error) {
 	est, err := estimator.EstimateFaulted(ctx, cfg, fm)
 	if err != nil {
@@ -503,103 +378,57 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 		StaticPower: est.StaticPower,
 	}
 	cpb := cyclesPerByte(est.Frequency, cfg.MemoryBandwidth)
-	proj := simcache.NPULayerProj(cfg, cpb)
-
-	type job struct {
-		idx int // position in net.Layers (0 = network entry)
-		l   workload.Layer
-	}
-	type layerOut struct {
-		st LayerStats
-		// injected-fault tallies for this layer
-		flips, drops, retry int64
-		// cleanFrac is the fraction of the layer's MACs untouched by flips.
-		cleanFrac float64
-	}
-	var jobs []job
-	for i, l := range net.Layers {
-		if l.ComputeLayer() {
-			jobs = append(jobs, job{i, l})
-		}
-	}
-	if !fm.Enabled() {
-		layerSites.Add(int64(len(jobs)))
-		if simcache.LayerGrainEnabled() {
-			// Shape dedup: warm one layer-grain entry per unique shape so
-			// the per-site fan-out below replicates cache hits instead of
-			// re-walking identical tile plans.
-			seen := make(map[workload.Shape]bool, len(jobs))
-			var shapes []workload.Shape
-			for _, j := range jobs {
-				if s := j.l.Shape(); !seen[s] {
-					seen[s] = true
-					shapes = append(shapes, s)
-				}
-			}
-			if len(shapes) < len(jobs) {
-				if _, err := parallel.MapContext(ctx, len(shapes), func(ctx context.Context, k int) (struct{}, error) {
-					_, err := simulateLayerCached(ctx, proj, shapes[k].Layer(""), batch)
-					return struct{}{}, err
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
+	moveWidth := int64(min(cfg.IfmapBuf().WidthBytes, cfg.OutputBuf().WidthBytes))
 	site := simSite(cfg, net, batch)
-	outs, err := parallel.MapContext(ctx, len(jobs), func(ctx context.Context, k int) (layerOut, error) {
-		j := jobs[k]
-		var st LayerStats
-		var err error
-		if fm.Enabled() {
-			st, err = simulateLayer(ctx, proj, j.l, batch)
-		} else {
-			st, err = simulateLayerCached(ctx, proj, j.l, batch)
+
+	var w guard.Watch
+	w.Arm(ctx)
+	defer w.Disarm()
+	accuracy := 1.0
+	var faults FaultStats
+	for i, l := range net.Layers {
+		if w.Canceled() {
+			return nil, w.Err()
 		}
-		if err != nil {
-			return layerOut{}, err
+		if !l.ComputeLayer() {
+			continue
 		}
+		st := simulateLayer(cfg, l, batch, cpb)
 
 		// Layer input delivery: the first compute layer streams its
 		// inputs from DRAM; later layers transfer the previous output
 		// buffer contents into the ifmap buffer on-chip.
-		inBytes := int64(batch) * j.l.IfmapBytes()
-		if j.idx == 0 {
+		inBytes := int64(batch) * l.IfmapBytes()
+		if i == 0 {
 			st.DRAMCycles += int64(float64(inBytes) * cpb)
 			st.DRAMBytes += inBytes
 		} else {
-			width := min(cfg.IfmapBuf().WidthBytes, cfg.OutputBuf().WidthBytes)
-			st.IfmapMoveCycles += inBytes / int64(width)
+			st.IfmapMoveCycles += inBytes / moveWidth
 			st.BufferBytes += inBytes
 		}
 
-		o := layerOut{cleanFrac: 1}
 		if fm.Enabled() {
-			lsite := site + "/layer/" + j.l.Name
+			lsite := site + "/layer/" + l.Name
 			// Thermal pulse drops: every byte streamed through the
 			// shift-register buffers is one shift-in plus one shift-out;
 			// each dropped pulse recirculates the ifmap chunk to replay
 			// the lost entry. The retry cycles land in the ifmap-movement
 			// class, where the replay physically happens.
-			o.drops, o.retry = cfg.IfmapBuf().DropRetryCycles(fm, 2*st.BufferBytes, lsite+"/drop")
-			st.IfmapMoveCycles += o.retry
+			drops, retry := cfg.IfmapBuf().DropRetryCycles(fm, 2*st.BufferBytes, lsite+"/drop")
+			st.IfmapMoveCycles += retry
 			// Datapath bit flips corrupt MACs without costing cycles.
-			o.flips = fm.Count(fm.BitFlip, st.MACs, lsite+"/flip")
+			flips := fm.Count(fm.BitFlip, st.MACs, lsite+"/flip")
 			if st.MACs > 0 {
-				o.cleanFrac = 1 - float64(o.flips)/float64(st.MACs)
+				accuracy *= 1 - float64(flips)/float64(st.MACs)
 			}
+			faults.BitFlips += flips
+			faults.DroppedPulses += drops
+			faults.RetryCycles += retry
+		} else {
+			layerSites.Inc()
 		}
 		st.resolveStalls()
-		o.st = st
-		return o, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	accuracy := 1.0
-	var faults FaultStats
-	for _, o := range outs {
-		st := o.st
+
 		rep.Layers = append(rep.Layers, st)
 		rep.ComputeCycles += st.ComputeCycles
 		rep.PrepCycles += st.PrepCycles()
@@ -608,10 +437,6 @@ func simulate(ctx context.Context, cfg arch.Config, net workload.Network, batch 
 		rep.Trace.BufferBytes += st.BufferBytes
 		rep.Trace.DRAMBytes += st.DRAMBytes
 		rep.Trace.WeightLoads += st.WeightCycles
-		faults.BitFlips += o.flips
-		faults.DroppedPulses += o.drops
-		faults.RetryCycles += o.retry
-		accuracy *= o.cleanFrac
 	}
 	if fm.Enabled() {
 		faults.Model = fm.String()

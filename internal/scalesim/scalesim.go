@@ -4,7 +4,8 @@
 // (Section VI-A): a 256×256 PE array at 0.7 GHz with a 24 MB unified SRAM
 // buffer, 300 GB/s of HBM bandwidth and 40 W average power.
 //
-// The mapping loop mirrors the SFQ simulator's, but SRAM removes the
+// Layers are charged over the same tile classes as the SFQ simulator's
+// (internal/mapper, one register plane), but SRAM removes the
 // shift-register mechanics: no repositioning rotations, no inter-buffer
 // psum walks — the CMOS design's buffers are random access.
 package scalesim
@@ -15,6 +16,7 @@ import (
 	"math"
 
 	"supernpu/internal/guard"
+	"supernpu/internal/mapper"
 	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
@@ -25,16 +27,7 @@ import (
 // read-only.
 var cache = simcache.New[*Report]()
 
-// layerCache memoises the per-layer tile walk beneath the whole-simulation
-// cache, keyed by (projection, layer shape, batch): repeated shapes within
-// a network and across sweep points that hold the projection constant
-// share one walk.
-var layerCache = simcache.New[layerCost]()
-
-func init() {
-	simcache.Register("scalesim", cache)
-	simcache.Register("scalesim.layer", layerCache)
-}
+func init() { simcache.Register("scalesim", cache) }
 
 // Config describes the CMOS accelerator.
 type Config struct {
@@ -114,83 +107,38 @@ func Simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 	})
 }
 
-// layerCost is one compute layer's cached charge set: the cycle classes
-// accumulated before the per-layer stall comparison, plus its MACs.
-type layerCost struct {
-	Compute, DRAM, MACs int64
-}
-
-// simulateLayer charges one compute layer's tile walk. It reads the
-// configuration only through its ScaleProj projection and the layer only
-// through its shape, which is what makes the layer-grain key complete by
-// construction. Every truncation stays per-tile, bit-identical to the
-// pre-cache inline loop.
-func simulateLayer(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	l := s.Layer("")
-	h, w := p.ArrayHeight, p.ArrayWidth
-	cpb := p.CyclesPerByte
+// simulateLayer charges one compute layer in closed form: the per-tile
+// cost of each tile class times the class's tile count. Each per-tile
+// charge, its DRAM truncations included, reads only fields a class shares,
+// so the sums are bit-identical to charging the tiles one by one. It
+// returns the compute and DRAM cycles before the per-layer stall
+// comparison, and the layer's MACs.
+func simulateLayer(cfg Config, l workload.Layer, batch int, cpb float64) (compute, dram, macs int64) {
+	b := int64(batch)
 	ef := int64(l.OutH() * l.OutW())
-	fits := int64(batch)*l.WorkingSetBytes() <= p.BufferBytes
-
-	type tile struct{ rows, filters, channels int }
-	var tiles []tile
-	if l.Kind == workload.DepthwiseConv {
-		for c := 0; c < l.C; c++ {
-			tiles = append(tiles, tile{rows: min(l.R*l.S, h), filters: 1, channels: 1})
-		}
-	} else {
-		rsc := l.R * l.S * l.C
-		for rt := 0; rt < (rsc+h-1)/h; rt++ {
-			rows := min(h, rsc-rt*h)
-			for m := 0; m < l.M; m += w {
-				tiles = append(tiles, tile{
-					rows: rows, filters: min(w, l.M-m),
-					channels: (rows + l.R*l.S - 1) / (l.R * l.S),
-				})
-			}
-		}
-	}
-
-	var cost layerCost
-	for _, t := range tiles {
+	fits := b*l.WorkingSetBytes() <= cfg.BufferBytes
+	for _, c := range mapper.Classes(l, cfg.ArrayHeight, cfg.ArrayWidth, 1) {
+		n := int64(c.Count)
 		// Streaming compute plus array fill/drain and column loading.
-		cost.Compute += int64(batch)*ef + int64(2*t.rows+t.filters)
+		compute += n * (b*ef + int64(2*c.Rows+c.Filters))
 		// Weight fetch.
-		wBytes := int64(t.rows) * int64(t.filters)
-		cost.DRAM += int64(float64(wBytes) * cpb)
+		wBytes := int64(c.Rows) * int64(c.Filters)
+		dram += n * int64(float64(wBytes)*cpb)
 		// Spilled activations re-fetch per mapping.
 		if !fits {
-			spill := int64(batch) * int64(l.H*l.W*t.channels)
-			cost.DRAM += int64(float64(spill) * cpb)
+			spill := b * int64(l.H*l.W*c.Channels)
+			dram += n * int64(float64(spill)*cpb)
 		}
-		cost.MACs += int64(batch) * ef * int64(t.rows) * int64(t.filters)
+		macs += n * c.MACs(batch, ef)
 	}
-	return cost
-}
-
-// simulateLayerCached serves one layer's charges through the layer-grain
-// cache, or directly when layer-grain caching is disabled.
-func simulateLayerCached(p simcache.ScaleProj, s workload.Shape, batch int) layerCost {
-	if !simcache.LayerGrainEnabled() {
-		return simulateLayer(p, s, batch)
-	}
-	c, _ := layerCache.GetOrCompute(simcache.ScaleLayerKey(p, s, batch),
-		func() (layerCost, error) { return simulateLayer(p, s, batch), nil })
-	return c
+	return compute, dram, macs
 }
 
 // simulate is the uncached mapping loop, polling for cancellation once per
-// layer. Per-layer charges come through the layer-grain cache; the
-// serial walk dedups repeated shapes automatically (first occurrence
-// misses, the rest hit). Input delivery and stall resolution stay per
-// site, outside the cached function.
+// layer. Input delivery and stall resolution are per layer.
 func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) (*Report, error) {
 	rep := &Report{Config: cfg, Network: net.Name, Batch: batch}
 	cpb := cfg.Frequency / cfg.Bandwidth
-	proj := simcache.ScaleProj{
-		ArrayHeight: cfg.ArrayHeight, ArrayWidth: cfg.ArrayWidth,
-		BufferBytes: cfg.BufferBytes, CyclesPerByte: cpb,
-	}
 
 	var watch guard.Watch
 	watch.Arm(ctx)
@@ -202,9 +150,8 @@ func simulate(ctx context.Context, cfg Config, net workload.Network, batch int) 
 		if !l.ComputeLayer() {
 			continue
 		}
-		cost := simulateLayerCached(proj, l.Shape(), batch)
-		layerCompute, layerDRAM := cost.Compute, cost.DRAM
-		rep.MACs += cost.MACs
+		layerCompute, layerDRAM, macs := simulateLayer(cfg, l, batch, cpb)
+		rep.MACs += macs
 		// First layer's inputs arrive from DRAM.
 		if i == 0 {
 			layerDRAM += int64(float64(int64(batch)*l.IfmapBytes()) * cpb)

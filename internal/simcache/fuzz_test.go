@@ -1,10 +1,9 @@
 // Native Go fuzz target for key injectivity: the memo caches rely on
-// ConfigKey/NetworkKey/SimKey — and the layer-grain LayerKey/ScaleLayerKey/
-// TilesKey — being collision-free: two distinct inputs sharing a
-// fingerprint would silently serve one input's simulation result for the
-// other. The fuzzer derives two of each key's inputs from the input bytes
-// and checks keys are equal exactly when the values are. Seed corpus in
-// testdata/fuzz/; run with
+// ConfigKey/NetworkKey/SimKey being collision-free — two distinct inputs
+// sharing a fingerprint would silently serve one input's simulation result
+// for the other. The fuzzer derives two configurations and two workloads
+// from the input bytes and checks keys are equal exactly when the values
+// are. Seed corpus in testdata/fuzz/; run with
 //
 //	go test ./internal/simcache -run='^$' -fuzz=FuzzKeyInjectivity -fuzztime=30s
 package simcache
@@ -72,36 +71,6 @@ func (f *byteFeed) config() arch.Config {
 	}
 }
 
-// layerCoreProj derives one NPU core layer projection from the feed.
-func (f *byteFeed) layerCoreProj() LayerCoreProj {
-	return LayerCoreProj{
-		ArrayHeight: f.intIn(0, 4096), ArrayWidth: f.intIn(0, 4096),
-		Registers:      f.intIn(0, 64),
-		PipelineStages: f.intIn(0, 64),
-		CyclesPerByte:  float64(f.intIn(0, 1<<20)) / 64,
-		Fits:           f.next()%2 == 1,
-	}
-}
-
-// scaleProj derives one CMOS layer projection from the feed.
-func (f *byteFeed) scaleProj() ScaleProj {
-	return ScaleProj{
-		ArrayHeight: f.intIn(0, 4096), ArrayWidth: f.intIn(0, 4096),
-		BufferBytes:   int64(f.intIn(0, 1<<30)),
-		CyclesPerByte: float64(f.intIn(0, 1<<20)) / 64,
-	}
-}
-
-// shape derives one layer shape from the feed.
-func (f *byteFeed) shape() workload.Shape {
-	return workload.Shape{
-		Kind: workload.Kind(f.next() % 4),
-		H:    f.intIn(0, 512), W: f.intIn(0, 512), C: f.intIn(0, 512),
-		R: f.intIn(0, 16), S: f.intIn(0, 16), M: f.intIn(0, 512),
-		Stride: f.intIn(0, 8), Pad: f.intIn(0, 8),
-	}
-}
-
 // network derives one workload from the feed.
 func (f *byteFeed) network() workload.Network {
 	layers := make([]workload.Layer, int(f.next())%4)
@@ -150,31 +119,6 @@ func FuzzKeyInjectivity(f *testing.F) {
 		same := ca == cb && reflect.DeepEqual(na, nb) && ba == bb
 		if same != (ska == skb) {
 			t.Fatalf("SimKey injectivity violated (batch %d vs %d):\n a=%q\n b=%q", ba, bb, ska, skb)
-		}
-
-		// Layer-grain keys: (projection, shape, batch) triples must key
-		// equal exactly when every component is equal.
-		pa, pb := fa.layerCoreProj(), fb.layerCoreProj()
-		sa, sb := fa.shape(), fb.shape()
-		lka := LayerKey(pa, sa, ba)
-		lkb := LayerKey(pb, sb, bb)
-		if same := pa == pb && sa == sb && ba == bb; same != (lka == lkb) {
-			t.Fatalf("LayerKey injectivity violated:\n a=%+v %+v b%d -> %q\n b=%+v %+v b%d -> %q",
-				pa, sa, ba, lka, pb, sb, bb, lkb)
-		}
-
-		spa, spb := fa.scaleProj(), fb.scaleProj()
-		slka := ScaleLayerKey(spa, sa, ba)
-		slkb := ScaleLayerKey(spb, sb, bb)
-		if same := spa == spb && sa == sb && ba == bb; same != (slka == slkb) {
-			t.Fatalf("ScaleLayerKey injectivity violated:\n a=%q\n b=%q", slka, slkb)
-		}
-
-		tka := TilesKey(sa, pa.ArrayHeight, pa.ArrayWidth, pa.Registers)
-		tkb := TilesKey(sb, pb.ArrayHeight, pb.ArrayWidth, pb.Registers)
-		geomSame := pa.ArrayHeight == pb.ArrayHeight && pa.ArrayWidth == pb.ArrayWidth && pa.Registers == pb.Registers
-		if same := sa == sb && geomSame; same != (tka == tkb) {
-			t.Fatalf("TilesKey injectivity violated:\n a=%q\n b=%q", tka, tkb)
 		}
 	})
 }

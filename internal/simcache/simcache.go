@@ -137,162 +137,6 @@ func SimKey(cfg arch.Config, net workload.Network, batch int) string {
 	return b.String()
 }
 
-// --- layer-grain keys ---
-//
-// The whole-simulation keys above only hit on exact (config, network,
-// batch) repeats. The layer-grain families below key on the *projection*
-// of the configuration that the per-layer cycle models actually read, plus
-// the layer's name-free shape — so sweep points that vary an irrelevant
-// knob (display name, weight buffer, logic family, or frequency and
-// bandwidth at a fixed ratio) and repeated shapes within one network
-// (ResNet-50's residual blocks) all share one tile walk.
-
-// LayerProj is the projection of arch.Config (plus the derived
-// cycles-per-byte DRAM rate) that npusim's per-layer model reads.
-// Everything else about a design — its name, weight-buffer capacity,
-// logic family, absolute frequency and bandwidth — either never enters
-// the per-layer arithmetic or enters only through CyclesPerByte.
-// npusim.simulateLayer takes this projection instead of the full config,
-// so key completeness is true by construction. The cache itself keys on
-// the further-reduced LayerCoreProj: the buffer fields here only reach
-// the walk through per-mapping unit costs and the batch-fit bit, both
-// factored out of the cached core.
-type LayerProj struct {
-	ArrayHeight, ArrayWidth int
-	Registers               int
-	// PipelineStages is the PE pipeline depth (array fill/drain cost).
-	PipelineStages int
-	// Shift-register buffer geometry: recirculation, inter-buffer psum
-	// movement, and the on-chip batch-fit decision.
-	IfmapBufBytes, IfmapChunks   int
-	OutputBufBytes, OutputChunks int
-	IntegratedOutput             bool
-	PsumBufBytes                 int
-	// CyclesPerByte converts DRAM bytes into NPU cycles (frequency over
-	// bandwidth).
-	CyclesPerByte float64
-}
-
-// NPULayerProj projects an SFQ NPU configuration down to the fields the
-// per-layer cycle model reads, at the given cycles-per-byte DRAM rate.
-func NPULayerProj(cfg arch.Config, cpb float64) LayerProj {
-	return LayerProj{
-		ArrayHeight: cfg.ArrayHeight, ArrayWidth: cfg.ArrayWidth,
-		Registers:      cfg.Registers,
-		PipelineStages: cfg.PECfg().PipelineStages(),
-		IfmapBufBytes:  cfg.IfmapBufBytes, IfmapChunks: cfg.IfmapChunks,
-		OutputBufBytes: cfg.OutputBufBytes, OutputChunks: cfg.OutputChunks,
-		IntegratedOutput: cfg.IntegratedOutput,
-		PsumBufBytes:     cfg.PsumBufBytes,
-		CyclesPerByte:    cpb,
-	}
-}
-
-// ScaleProj is the corresponding projection of the CMOS reference
-// simulator's configuration: array dims, the unified buffer capacity
-// (spill decisions) and the DRAM rate. scalesim constructs it inline —
-// this package cannot import scalesim.
-type ScaleProj struct {
-	ArrayHeight, ArrayWidth int
-	BufferBytes             int64
-	CyclesPerByte           float64
-}
-
-// appendShapeKey serialises every field of a layer shape. Keep in step
-// with workload.Shape.
-func appendShapeKey(b *strings.Builder, s workload.Shape) {
-	writeInt(b, int64(s.Kind))
-	writeInt(b, int64(s.H))
-	writeInt(b, int64(s.W))
-	writeInt(b, int64(s.C))
-	writeInt(b, int64(s.R))
-	writeInt(b, int64(s.S))
-	writeInt(b, int64(s.M))
-	writeInt(b, int64(s.Stride))
-	writeInt(b, int64(s.Pad))
-}
-
-// LayerCoreProj is the reduced projection that keys npusim's layer-grain
-// cache. The shift-register unit costs LayerProj's buffer fields induce —
-// ifmap recirculation and psum inter-buffer movement — are constant per
-// weight mapping, so the cached tile walk excludes them and the caller
-// applies them as exact integer multiples of the tile counts afterwards.
-// The buffers' only other influence, the on-chip batch-fit decision, is
-// resolved into the Fits bit before keying. Sweep points that vary only
-// buffer division (Fig. 20) or capacity changes that do not flip a fit
-// decision therefore share one cached walk per (shape, batch).
-type LayerCoreProj struct {
-	ArrayHeight, ArrayWidth int
-	Registers               int
-	// PipelineStages is the PE pipeline depth (array fill/drain cost).
-	PipelineStages int
-	// CyclesPerByte converts DRAM bytes into NPU cycles (frequency over
-	// bandwidth).
-	CyclesPerByte float64
-	// Fits is the layer's resolved batch-fit decision: whether the
-	// batch-B activations stay on-chip (false adds per-mapping spill
-	// traffic inside the walk).
-	Fits bool
-}
-
-// LayerKey fingerprints one (core projection, layer shape, batch) tile
-// walk for the npusim.layer cache.
-func LayerKey(p LayerCoreProj, s workload.Shape, batch int) string {
-	var b strings.Builder
-	b.Grow(112)
-	writeInt(&b, int64(p.ArrayHeight))
-	writeInt(&b, int64(p.ArrayWidth))
-	writeInt(&b, int64(p.Registers))
-	writeInt(&b, int64(p.PipelineStages))
-	writeFloat(&b, p.CyclesPerByte)
-	writeBool(&b, p.Fits)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(batch))
-	return b.String()
-}
-
-// ScaleLayerKey fingerprints one (CMOS projection, layer shape, batch)
-// layer simulation for the scalesim.layer cache.
-func ScaleLayerKey(p ScaleProj, s workload.Shape, batch int) string {
-	var b strings.Builder
-	b.Grow(112)
-	writeInt(&b, int64(p.ArrayHeight))
-	writeInt(&b, int64(p.ArrayWidth))
-	writeInt(&b, p.BufferBytes)
-	writeFloat(&b, p.CyclesPerByte)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(batch))
-	return b.String()
-}
-
-// TilesKey fingerprints one tile-plan enumeration: the layer shape plus
-// the array geometry mapper.Tiles reads.
-func TilesKey(s workload.Shape, height, width, registers int) string {
-	var b strings.Builder
-	b.Grow(96)
-	appendShapeKey(&b, s)
-	writeInt(&b, int64(height))
-	writeInt(&b, int64(width))
-	writeInt(&b, int64(registers))
-	return b.String()
-}
-
-// layerGrain gates the layer-grain families (npusim.layer, scalesim.layer,
-// mapper.tiles) and npusim's within-network shape dedup. On by default;
-// the differential tests and the before/after benchmarks turn it off to
-// prove byte-identity and to measure the win.
-var layerGrain atomic.Bool
-
-func init() { layerGrain.Store(true) }
-
-// SetLayerGrain toggles layer-grain memoisation process-wide. Results are
-// byte-identical either way (TestLayerGrainByteIdentity); off disables the
-// reuse, not the model.
-func SetLayerGrain(on bool) { layerGrain.Store(on) }
-
-// LayerGrainEnabled reports whether layer-grain memoisation is on.
-func LayerGrainEnabled() bool { return layerGrain.Load() }
-
 // entry is one memoised computation; once guarantees the compute function
 // runs at most once per key even under concurrent first access.
 type entry[V any] struct {
@@ -476,8 +320,8 @@ func Snapshot() []Stats {
 
 // Clear clears the one registered cache with the given name, reporting
 // whether such a cache exists. Warm benchmarks use it to cool a single
-// family (the whole-simulation caches) while keeping the layer-grain
-// entries hot.
+// family (the whole-simulation caches) while keeping the others, such as
+// the estimator's, hot.
 func Clear(name string) bool {
 	regMu.Lock()
 	c, ok := registry[name]

@@ -250,3 +250,24 @@ func TestNumericErrorsStayMemoised(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
 }
+
+// TestClearByName pins the single-family clear used by warm benchmarks.
+func TestClearByName(t *testing.T) {
+	c := New[int]()
+	Register("clear-by-name-test", c)
+	if _, err := c.GetOrCompute("k", func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("cache has %d entries, want 1", c.Len())
+	}
+	if !Clear("clear-by-name-test") {
+		t.Fatal("Clear did not find the registered cache")
+	}
+	if c.Len() != 0 {
+		t.Error("Clear left entries behind")
+	}
+	if Clear("no-such-cache") {
+		t.Error("Clear invented an unregistered cache")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supernpu/internal/arch"
+	"supernpu/internal/mapper"
 	"supernpu/internal/npusim"
 	"supernpu/internal/workload"
 )
@@ -79,5 +80,53 @@ func TestPerformanceModelTracksFunctionalModel(t *testing.T) {
 			t.Errorf("%s: compute cycles diverge — performance %d vs functional %d (slack %d)",
 				l.Name, perf.ComputeCycles, funcStats.Cycles, slack)
 		}
+	}
+}
+
+// The cycle models charge a layer through mapper.Classes; the functional
+// array walks mapper.Tiles. One mapping policy means the array's executed
+// mappings and MACs equal the count-weighted class sums. The layers cover
+// every class: R·S·C below, equal to and past (not a multiple of) the
+// array height, and M both a multiple and not a multiple of width·regs.
+func TestFunctionalModelMatchesClasses(t *testing.T) {
+	const rows, cols, regs = 18, 4, 2
+	layers := []workload.Layer{
+		{Name: "below", Kind: workload.Conv, H: 6, W: 6, C: 1, R: 3, S: 3, M: 10, Stride: 1, Pad: 1},
+		{Name: "equal", Kind: workload.Conv, H: 6, W: 6, C: 2, R: 3, S: 3, M: 16, Stride: 1, Pad: 1},
+		{Name: "tail", Kind: workload.Conv, H: 5, W: 5, C: 5, R: 3, S: 3, M: 20, Stride: 1, Pad: 1},
+		{Name: "fc", Kind: workload.FullyConnected, H: 1, W: 1, C: 40, R: 1, S: 1, M: 13, Stride: 1},
+	}
+	maxClasses := 0
+	for _, l := range layers {
+		arr, err := NewArray(rows, cols, regs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		in := randomIfmap(rng, l.C, l.H, l.W)
+		w := randomWeights(rng, l)
+		out, st, err := arr.Run(l, w, in)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if !equalOfmap(out, Reference(l, w, in)) {
+			t.Errorf("%s: functional output differs from the reference", l.Name)
+		}
+
+		classes := mapper.Classes(l, rows, cols, regs)
+		maxClasses = max(maxClasses, len(classes))
+		var mappings int
+		var macs int64
+		for _, c := range classes {
+			mappings += c.Count
+			macs += int64(c.Count) * c.MACs(1, int64(l.OutH()*l.OutW()))
+		}
+		if st.Mappings != mappings || st.MACs != macs {
+			t.Errorf("%s: functional model ran %d mappings / %d MACs, classes charge %d / %d",
+				l.Name, st.Mappings, st.MACs, mappings, macs)
+		}
+	}
+	if maxClasses != 6 {
+		t.Errorf("no layer reached all six classes (max %d)", maxClasses)
 	}
 }
