@@ -59,14 +59,14 @@ bench-sweep:
 	$(GO) test -run=NONE -bench='BenchmarkRunAll|BenchmarkSimulateC' -benchtime=5x .
 
 # Recorded perf trajectory: run the solver and sweep benchmarks with
-# allocation counting and check the measurements in as a sorted-key JSON
-# artifact. Compare BENCH_PR*.json files across PRs with
-# `go run ./cmd/benchjson -compare` to see the trend.
-BENCH_JSON ?= BENCH_PR12.json
+# allocation counting, five times each, and check the per-benchmark
+# medians in as a sorted-key JSON artifact. Compare BENCH_PR*.json files
+# across PRs with `go run ./cmd/benchjson -compare` to see the trend.
+BENCH_JSON ?= BENCH_PR14.json
 bench-json:
-	$(GO) test -run=NONE -bench='BenchmarkRun|BenchmarkBiasMargins' -benchmem ./internal/jsim \
+	$(GO) test -run=NONE -bench='BenchmarkRun|BenchmarkBiasMargins' -benchmem -count 5 ./internal/jsim \
 		> bench-json.tmp
-	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkJSIMTransient|BenchmarkFig20BufferSweepWarm|BenchmarkRunAllSerial|BenchmarkSimulateCold' -benchmem . \
+	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkJSIMTransient|BenchmarkFig20BufferSweepWarm|BenchmarkRunAllSerial|BenchmarkSimulateCold' -benchmem -count 5 . \
 		>> bench-json.tmp
 	$(GO) run ./cmd/benchjson < bench-json.tmp > $(BENCH_JSON)
 	@rm -f bench-json.tmp
@@ -82,7 +82,7 @@ BENCH_THRESHOLD ?= 1.5
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='BenchmarkFig20BufferSweepWarm' -benchtime=3x .
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) BENCH_PR10.json BENCH_PR12.json
+	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) BENCH_PR12.json BENCH_PR14.json
 
 repro:
 	$(GO) run ./cmd/supernpu-repro -v

@@ -1,8 +1,9 @@
 // Command benchjson converts `go test -bench -benchmem` text output (read
 // from stdin) into a deterministic JSON artifact mapping each benchmark
 // name to its measured ns/op, B/op and allocs/op — the format of the
-// repo's recorded perf trajectory (BENCH_PR6.json, BENCH_PR10.json,
-// written by `make bench-json`). The parsing and rendering live in
+// repo's recorded perf trajectory (BENCH_PR*.json, written by `make
+// bench-json`). A name repeated by -count N records the median of its
+// repeats. The parsing and rendering live in
 // internal/benchparse; this command is the stdin/stdout shell around them.
 //
 // With -compare it instead diffs two recorded artifacts, printing the

@@ -4,9 +4,10 @@
 // cmd/benchjson).
 //
 // Benchmark names are stripped of their -GOMAXPROCS suffix; when a name
-// appears more than once (several packages, -count > 1), the last
-// measurement wins. Rendered keys are sorted, so identical measurements
-// produce identical bytes.
+// appears more than once (-count > 1, or several packages), each quantity
+// keeps the median of its repeats, so one run slowed by host load does not
+// become the recorded value. Rendered keys are sorted, so identical
+// measurements produce identical bytes.
 package benchparse
 
 import (
@@ -67,21 +68,51 @@ func ParseLine(line string) (name string, r Result, ok bool) {
 }
 
 // Parse reads benchmark output line by line and returns the merged
-// measurements by bare benchmark name (last occurrence wins). Lines longer
-// than one MiB are an error, as is any reader failure.
+// measurements by bare benchmark name: each of ns/op, B/op and allocs/op
+// is the median of that name's repeats that measured it (see median).
+// Lines longer than one MiB are an error, as is any reader failure.
 func Parse(rd io.Reader) (map[string]Result, error) {
-	rows := map[string]Result{}
+	runs := map[string][]Result{}
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		if name, r, ok := ParseLine(sc.Text()); ok {
-			rows[name] = r
+			runs[name] = append(runs[name], r)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	rows := make(map[string]Result, len(runs))
+	for name, rs := range runs {
+		rows[name] = Result{
+			NsPerOp:     median(rs, func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  median(rs, func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: median(rs, func(r Result) float64 { return r.AllocsPerOp }),
+		}
+	}
 	return rows, nil
+}
+
+// median returns the median of one quantity over the repeats that measured
+// it (absent values, -1, are skipped), or -1 when none did. An even count
+// takes the mean of the two middle values.
+func median(rs []Result, field func(Result) float64) float64 {
+	vs := make([]float64, 0, len(rs))
+	for _, r := range rs {
+		if v := field(r); v >= 0 {
+			vs = append(vs, v)
+		}
+	}
+	if len(vs) == 0 {
+		return -1
+	}
+	sort.Float64s(vs)
+	m := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[m]
+	}
+	return (vs[m-1] + vs[m]) / 2
 }
 
 // RenderJSON renders the measurements as the benchjson artifact: one

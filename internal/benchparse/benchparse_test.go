@@ -103,14 +103,65 @@ func TestParseMultipleBenchmarks(t *testing.T) {
 	}
 }
 
-func TestParseLastMeasurementWins(t *testing.T) {
-	in := "BenchmarkX-8 100 111 ns/op\nBenchmarkX-16 100 222 ns/op\n"
-	rows, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+// Repeated names (-count N) keep the per-quantity median of their
+// repeats: odd counts take the middle value, even counts the mean of the
+// two middle values, and repeats missing a quantity do not vote on it.
+func TestParseRepeatsTakeMedian(t *testing.T) {
+	tests := []struct {
+		name  string
+		lines []string
+		want  Result
+	}{
+		{
+			name:  "single run",
+			lines: []string{"BenchmarkX-8 100 111 ns/op 64 B/op 2 allocs/op"},
+			want:  Result{NsPerOp: 111, BytesPerOp: 64, AllocsPerOp: 2},
+		},
+		{
+			name: "odd count takes the middle value, not the last",
+			lines: []string{
+				"BenchmarkX-8 100 300 ns/op 64 B/op 2 allocs/op",
+				"BenchmarkX-8 100 100 ns/op 64 B/op 2 allocs/op",
+				"BenchmarkX-8 100 900 ns/op 80 B/op 3 allocs/op",
+				"BenchmarkX-8 100 200 ns/op 64 B/op 2 allocs/op",
+				"BenchmarkX-8 100 250 ns/op 64 B/op 2 allocs/op",
+			},
+			want: Result{NsPerOp: 250, BytesPerOp: 64, AllocsPerOp: 2},
+		},
+		{
+			name:  "even count averages the middle pair",
+			lines: []string{"BenchmarkX-8 100 111 ns/op", "BenchmarkX-16 100 222 ns/op"},
+			want:  Result{NsPerOp: 166.5, BytesPerOp: -1, AllocsPerOp: -1},
+		},
+		{
+			name: "quantities are medians independently",
+			lines: []string{
+				"BenchmarkX-8 100 10 ns/op 900 B/op 1 allocs/op",
+				"BenchmarkX-8 100 30 ns/op 100 B/op 9 allocs/op",
+				"BenchmarkX-8 100 20 ns/op 500 B/op 5 allocs/op",
+			},
+			want: Result{NsPerOp: 20, BytesPerOp: 500, AllocsPerOp: 5},
+		},
+		{
+			name: "absent quantities do not vote",
+			lines: []string{
+				"BenchmarkX-8 100 10 ns/op",
+				"BenchmarkX-8 100 40 ns/op 128 B/op 4 allocs/op",
+				"BenchmarkX-8 100 20 ns/op",
+			},
+			want: Result{NsPerOp: 20, BytesPerOp: 128, AllocsPerOp: 4},
+		},
 	}
-	if len(rows) != 1 || rows["BenchmarkX"].NsPerOp != 222 {
-		t.Fatalf("rows = %v, want the later BenchmarkX measurement (222)", rows)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, err := Parse(strings.NewReader(strings.Join(tc.lines, "\n")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 || rows["BenchmarkX"] != tc.want {
+				t.Fatalf("rows = %v, want BenchmarkX %+v", rows, tc.want)
+			}
+		})
 	}
 }
 

@@ -44,8 +44,9 @@ func BenchmarkRunStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkBiasMargins measures one full nominal bias-margin evaluation
-// (~28 transient probes across two bisection arms).
+// BenchmarkBiasMargins measures one full nominal bias-margin evaluation:
+// 25 transient probes, the nominal point plus 12 bisection steps in each
+// of two arms.
 func BenchmarkBiasMargins(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

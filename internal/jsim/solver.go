@@ -3,8 +3,9 @@
 // allocating O(nodes) scratch in total instead of the O(steps·nodes) dense
 // history the legacy Run API materialises. The floating-point arithmetic is
 // bit-identical to the original solver — same RK4, same operation order,
-// same expressions — so every golden exhibit derived from these transients
-// is unchanged; only the memory behaviour differs.
+// and every arithmetic saving an exact IEEE-754 identity (see derivChain,
+// evalSources and PulseSource.window) — so every golden exhibit derived
+// from these transients is unchanged.
 package jsim
 
 import (
@@ -68,7 +69,7 @@ type Solver struct {
 	// Per-node source index: srcs[srcPtr[i]:srcPtr[i+1]] are the pulse
 	// sources driving node i, in their original Sources order.
 	srcPtr []int
-	srcs   []PulseSource
+	srcs   []windowedSource
 	cnt    []int // counting-sort scratch (sources and adjacency)
 
 	// CSR adjacency for circuits: links of node i are adjPtr[i]:adjPtr[i+1].
@@ -176,6 +177,61 @@ func (s *Solver) prepNodes(nodes []Node) {
 	}
 }
 
+// tailSigmas is the half-width, in σ, of a pulse source's live window.
+// Beyond it x² ≥ 784, far past the arguments for which math.Exp still
+// returns a non-zero (subnormal) value.
+const tailSigmas = 28
+
+// expZeroBelow is an argument below which math.Exp returns exactly +0: the
+// pure-Go path and the arm64 assembly return 0 below −745.13, and the
+// amd64 assembly (with or without FMA) takes its underflow branch once the
+// ldexp exponent k+1023 drops below −52, which every argument below about
+// −745.48 guarantees. TestExpZeroBelow checks it on the running platform.
+const expZeroBelow = -746
+
+// windowedSource is a pulse source with its exact-zero window: for
+// t <= lo or t >= hi, current(t) is bit-equal to zero (Amp·0, which keeps
+// the sign of Amp), so the solver skips the exp. cur is the current at the
+// stage time of the last evalSources call.
+type windowedSource struct {
+	PulseSource
+	lo, hi float64
+	zero   float64
+	cur    float64
+}
+
+// tailIsZero reports whether current(t) underflows to Amp·0 at t, judged
+// on the same rounded x the Gaussian evaluates. Rounding is monotone, so
+// the rounded |x| only grows as t moves further from At: a zero at t is a
+// zero at every farther t on the same side.
+func (p PulseSource) tailIsZero(t float64) bool {
+	x := (t - p.At) / p.Sigma
+	return -x*x < expZeroBelow
+}
+
+// window returns p with its exact-zero window. Only a source with a
+// positive, finite Sigma and finite At and Amp is windowed; every other
+// source gets the unbounded window (−Inf, +Inf) and always evaluates its
+// Gaussian. A negative Sigma must never be windowed: At+28σ would then
+// lie below At and the test t >= hi would zero the live pulse. Each bound
+// is kept only when the Gaussian is verifiably zero there, which rejects
+// a σ so small against At that At±28σ rounds back onto the pulse.
+func (p PulseSource) window() windowedSource {
+	w := windowedSource{PulseSource: p, lo: math.Inf(-1), hi: math.Inf(1), zero: p.Amp * 0}
+	if !(p.Sigma > 0) || !finite(p.Sigma) || !finite(p.At) || !finite(p.Amp) {
+		return w
+	}
+	if lo := p.At - tailSigmas*p.Sigma; p.tailIsZero(lo) {
+		w.lo = lo
+	}
+	if hi := p.At + tailSigmas*p.Sigma; p.tailIsZero(hi) {
+		w.hi = hi
+	}
+	return w
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // indexSources builds the per-node source index with a stable counting sort,
 // preserving each node's original Sources order (the summation order of the
 // legacy solver). Sources aimed at out-of-range nodes are dropped, exactly
@@ -196,7 +252,7 @@ func (s *Solver) indexSources(sources []PulseSource, n int) {
 	if cap(s.srcs) >= valid {
 		s.srcs = s.srcs[:valid]
 	} else {
-		s.srcs = make([]PulseSource, valid)
+		s.srcs = make([]windowedSource, valid)
 	}
 	s.srcPtr[0] = 0
 	for i := 0; i < n; i++ {
@@ -205,8 +261,23 @@ func (s *Solver) indexSources(sources []PulseSource, n int) {
 	}
 	for _, src := range sources {
 		if src.Node >= 0 && src.Node < n {
-			s.srcs[s.srcPtr[src.Node]+s.cnt[src.Node]] = src
+			s.srcs[s.srcPtr[src.Node]+s.cnt[src.Node]] = src.window()
 			s.cnt[src.Node]++
+		}
+	}
+}
+
+// evalSources sets every source's cur to its current at time t. The RK4
+// step calls it once per distinct stage time (t, t+dt/2, t+dt): the k2 and
+// k3 stages share the mid-step value. Outside a source's window the value
+// is its exact zero, with no exp evaluated.
+func (s *Solver) evalSources(t float64) {
+	for k := range s.srcs {
+		src := &s.srcs[k]
+		if t <= src.lo || t >= src.hi {
+			src.cur = src.zero
+		} else {
+			src.cur = src.current(t)
 		}
 	}
 }
@@ -244,103 +315,133 @@ func (s *Solver) indexLinks(links []Link, n int) {
 	}
 }
 
-// derivChain evaluates the chain's sine-Gordon right-hand side. Every
-// expression and its evaluation order matches the legacy closure exactly.
-func (s *Solver) derivChain(t float64, phi, v, dphi, dv []float64) {
+// derivChain evaluates the chain's sine-Gordon right-hand side, reading the
+// source currents set by evalSources. It does less arithmetic than the
+// textbook form
+//
+//	cur += Φ0/2π·(φ[i-1]−φ[i])/L[i-1];  cur += Φ0/2π·(φ[i+1]−φ[i])/L[i]
+//
+// yet yields the same bits: the coupling current link of inductor i is
+// divided out once, added to node i and subtracted from node i+1. That
+// relies on a−b = −(b−a) in round-to-nearest, on negation commuting with
+// · and /, and on x+(−y) = x−y. The one gap is a = b, where both
+// differences are +0 and node i+1 subtracts +0 instead of adding +0; the
+// sums differ only when the running current is −0 at that point, which
+// needs a node Bias of −0 with no non-zero source current. The per-node
+// accumulation order (bias, sources, left link, right link, −Ic·sin φ,
+// −damping) and every remaining division are unchanged.
+func (s *Solver) derivChain(phi, v, dphi, dv []float64) {
 	n := len(phi)
+	bias, ic, res, cphi, lNext := s.bias[:n], s.ic[:n], s.res[:n], s.cphi[:n], s.lNext[:n]
+	v, dphi, dv = v[:n], dphi[:n], dv[:n]
+	srcPtr, srcs := s.srcPtr[:n+1], s.srcs
+	var link float64 // coupling current through the inductor left of node i
 	for i := 0; i < n; i++ {
-		cur := s.bias[i]
-		for _, src := range s.srcs[s.srcPtr[i]:s.srcPtr[i+1]] {
-			cur += src.current(t)
+		cur := bias[i]
+		for k := srcPtr[i]; k < srcPtr[i+1]; k++ {
+			cur += srcs[k].cur
 		}
 		if i > 0 {
-			cur += phi0over2pi * (phi[i-1] - phi[i]) / s.lNext[i-1]
+			cur -= link
 		}
 		if i < n-1 {
-			cur += phi0over2pi * (phi[i+1] - phi[i]) / s.lNext[i]
+			link = phi0over2pi * (phi[i+1] - phi[i]) / lNext[i]
+			cur += link
 		}
-		cur -= s.ic[i] * math.Sin(phi[i])
-		cur -= phi0over2pi * v[i] / s.res[i]
+		cur -= ic[i] * math.Sin(phi[i])
+		cur -= phi0over2pi * v[i] / res[i]
 		dphi[i] = v[i]
-		dv[i] = cur / s.cphi[i]
+		dv[i] = cur / cphi[i]
 	}
 }
 
-// derivCircuit is derivChain over the CSR link graph.
-func (s *Solver) derivCircuit(t float64, phi, v, dphi, dv []float64) {
+// derivCircuit is derivChain over the CSR link graph, with each coupling
+// current computed from both of its endpoints.
+func (s *Solver) derivCircuit(phi, v, dphi, dv []float64) {
 	n := len(phi)
+	bias, ic, res, cphi := s.bias[:n], s.ic[:n], s.res[:n], s.cphi[:n]
+	v, dphi, dv = v[:n], dphi[:n], dv[:n]
+	srcPtr, srcs := s.srcPtr[:n+1], s.srcs
+	adjPtr := s.adjPtr[:n+1]
 	for i := 0; i < n; i++ {
-		cur := s.bias[i]
-		for _, src := range s.srcs[s.srcPtr[i]:s.srcPtr[i+1]] {
-			cur += src.current(t)
+		cur := bias[i]
+		for k := srcPtr[i]; k < srcPtr[i+1]; k++ {
+			cur += srcs[k].cur
 		}
-		for k := s.adjPtr[i]; k < s.adjPtr[i+1]; k++ {
+		for k := adjPtr[i]; k < adjPtr[i+1]; k++ {
 			cur += phi0over2pi * (phi[s.adjNode[k]] - phi[i]) * s.adjInvL[k]
 		}
-		cur -= s.ic[i] * math.Sin(phi[i])
-		cur -= phi0over2pi * v[i] / s.res[i]
+		cur -= ic[i] * math.Sin(phi[i])
+		cur -= phi0over2pi * v[i] / res[i]
 		dphi[i] = v[i]
-		dv[i] = cur / s.cphi[i]
+		dv[i] = cur / cphi[i]
+	}
+}
+
+// deriv evaluates the right-hand side of the netlist being integrated. It
+// is a branch, not a func value picked once per run, because an indirect
+// call hides s from escape analysis: a Solver held on the stack
+// (Chain.Run, RunObserved) would move to the heap on every run.
+func (s *Solver) deriv(chain bool, phi, v, dphi, dv []float64) {
+	if chain {
+		s.derivChain(phi, v, dphi, dv)
+	} else {
+		s.derivCircuit(phi, v, dphi, dv)
 	}
 }
 
 // integrate runs the RK4 loop, streaming each pre-update state to the
 // observers. chain selects derivChain vs derivCircuit; errFmt is the
 // divergence message format of the corresponding legacy solver, with a
-// trailing %w for the guard sentinel. Every pollSteps steps the loop polls
-// the solver's cancellation watch — allocation-free on every path, so the
-// zero-allocation steady state holds whether or not a watch is armed.
+// trailing %w for the guard sentinel. Sources are evaluated once per
+// distinct stage time, and the stage constants dt/2 and dt/6 once per run
+// (the same expressions, so the same values). Every pollSteps steps the
+// loop polls the solver's cancellation watch — allocation-free on every
+// path, so the zero-allocation steady state holds whether or not a watch
+// is armed.
 func (s *Solver) integrate(steps, n int, dt float64, chain bool, errFmt string, obs []Observer) error {
+	half, sixth := 0.5*dt, dt/6
+	phi, v := s.phi[:n], s.v[:n]
+	k1p, k1v, k2p, k2v := s.k1p[:n], s.k1v[:n], s.k2p[:n], s.k2v[:n]
+	k3p, k3v, k4p, k4v := s.k3p[:n], s.k3v[:n], s.k4p[:n], s.k4v[:n]
+	tp, tv := s.tp[:n], s.tv[:n]
 	for step := 0; step < steps; step++ {
 		if step&(pollSteps-1) == 0 && s.watch.Canceled() {
 			return s.watch.Err()
 		}
 		t := float64(step) * dt
 		for _, o := range obs {
-			o.Observe(step, t, s.phi, s.v)
+			o.Observe(step, t, phi, v)
 		}
 
-		if chain {
-			s.derivChain(t, s.phi, s.v, s.k1p, s.k1v)
-		} else {
-			s.derivCircuit(t, s.phi, s.v, s.k1p, s.k1v)
-		}
+		s.evalSources(t)
+		s.deriv(chain, phi, v, k1p, k1v)
 		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + 0.5*dt*s.k1p[i]
-			s.tv[i] = s.v[i] + 0.5*dt*s.k1v[i]
+			tp[i] = phi[i] + half*k1p[i]
+			tv[i] = v[i] + half*k1v[i]
 		}
-		if chain {
-			s.derivChain(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
-		} else {
-			s.derivCircuit(t+0.5*dt, s.tp, s.tv, s.k2p, s.k2v)
-		}
+		s.evalSources(t + half)
+		s.deriv(chain, tp, tv, k2p, k2v)
 		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + 0.5*dt*s.k2p[i]
-			s.tv[i] = s.v[i] + 0.5*dt*s.k2v[i]
+			tp[i] = phi[i] + half*k2p[i]
+			tv[i] = v[i] + half*k2v[i]
 		}
-		if chain {
-			s.derivChain(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
-		} else {
-			s.derivCircuit(t+0.5*dt, s.tp, s.tv, s.k3p, s.k3v)
-		}
+		s.deriv(chain, tp, tv, k3p, k3v)
 		for i := 0; i < n; i++ {
-			s.tp[i] = s.phi[i] + dt*s.k3p[i]
-			s.tv[i] = s.v[i] + dt*s.k3v[i]
+			tp[i] = phi[i] + dt*k3p[i]
+			tv[i] = v[i] + dt*k3v[i]
 		}
-		if chain {
-			s.derivChain(t+dt, s.tp, s.tv, s.k4p, s.k4v)
-		} else {
-			s.derivCircuit(t+dt, s.tp, s.tv, s.k4p, s.k4v)
-		}
+		s.evalSources(t + dt)
+		s.deriv(chain, tp, tv, k4p, k4v)
 
 		for i := 0; i < n; i++ {
-			s.phi[i] += dt / 6 * (s.k1p[i] + 2*s.k2p[i] + 2*s.k3p[i] + s.k4p[i])
-			s.v[i] += dt / 6 * (s.k1v[i] + 2*s.k2v[i] + 2*s.k3v[i] + s.k4v[i])
-			if math.IsNaN(s.phi[i]) || math.IsInf(s.phi[i], 0) {
+			phi[i] += sixth * (k1p[i] + 2*k2p[i] + 2*k3p[i] + k4p[i])
+			v[i] += sixth * (k1v[i] + 2*k2v[i] + 2*k3v[i] + k4v[i])
+			if math.IsNaN(phi[i]) || math.IsInf(phi[i], 0) {
 				mDiverged.Inc()
 				return fmt.Errorf(errFmt, t/sfq.Picosecond, i, guard.ErrNonFinite)
 			}
-			if v := s.v[i]; v > divergedPhiDot || v < -divergedPhiDot {
+			if vi := v[i]; vi > divergedPhiDot || vi < -divergedPhiDot {
 				mDiverged.Inc()
 				return fmt.Errorf(errFmt, t/sfq.Picosecond, i, guard.ErrDiverged)
 			}
