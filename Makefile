@@ -6,7 +6,7 @@ GO ?= go
 
 # Per-package coverage floors enforced by make cover / CI, as
 # "<import path>:<floor percent>" pairs.
-COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/checkpoint:70 ./internal/simcache:85
+COVER_PACKAGES ?= ./internal/server:70 ./internal/obs:80 ./internal/simcache:85
 # Per-target budget for the fuzz smoke pass (make fuzz).
 FUZZTIME ?= 15s
 
@@ -66,7 +66,7 @@ BENCH_JSON ?= BENCH_PR14.json
 bench-json:
 	$(GO) test -run=NONE -bench='BenchmarkRun|BenchmarkBiasMargins' -benchmem -count 5 ./internal/jsim \
 		> bench-json.tmp
-	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkJSIMTransient|BenchmarkFig20BufferSweepWarm|BenchmarkRunAllSerial|BenchmarkSimulateCold' -benchmem -count 5 . \
+	$(GO) test -run=NONE -bench='BenchmarkMarginSweepCold|BenchmarkExtractJTLParamsCold|BenchmarkFig20BufferSweepWarm|BenchmarkRunAllSerial|BenchmarkSimulateCold' -benchmem -count 5 . \
 		>> bench-json.tmp
 	$(GO) run ./cmd/benchjson < bench-json.tmp > $(BENCH_JSON)
 	@rm -f bench-json.tmp
@@ -138,7 +138,7 @@ chaos-smoke:
 
 # Race-detector pass focused on the resilience subsystems.
 race-resilience:
-	$(GO) test -race -count=1 ./internal/faultinject ./internal/parallel ./internal/server ./internal/checkpoint
+	$(GO) test -race -count=1 ./internal/faultinject ./internal/parallel ./internal/server
 
 # Re-snapshot the golden exhibit files after an intentional model change.
 golden-update:

@@ -221,10 +221,14 @@ func BenchmarkSystolicFunctional(b *testing.B) {
 	}
 }
 
-// BenchmarkJSIMTransient measures the RCSJ transient simulation of a
-// 12-stage JTL (the gate-parameter extraction path).
-func BenchmarkJSIMTransient(b *testing.B) {
+// BenchmarkExtractJTLParamsCold measures the RCSJ transient simulation of
+// a 12-stage JTL (the gate-parameter extraction path). The jsim memo is
+// cleared every iteration, so each one runs the transient instead of
+// timing a cache hit.
+func BenchmarkExtractJTLParamsCold(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		simcache.Clear("jsim")
 		if _, err := jsim.ExtractJTLParams(context.Background()); err != nil {
 			b.Fatal(err)
 		}

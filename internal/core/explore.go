@@ -6,42 +6,12 @@ import (
 	"math"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/estimator"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/npusim"
 	"supernpu/internal/parallel"
-	"supernpu/internal/simcache"
 	"supernpu/internal/workload"
 )
-
-// SweepOptions configures the resilience features of the Explore* sweeps.
-// The zero value is the plain nominal sweep.
-type SweepOptions struct {
-	// Fault perturbs every simulation of the sweep (including the Baseline
-	// normalisation references, so speedups compare like with like).
-	Fault *faultinject.Model
-	// Checkpoint, when non-nil, records each completed sweep point under
-	// its content key (config fingerprint + fault key) and skips points
-	// already present — the resume path after a killed run.
-	Checkpoint *checkpoint.Store
-}
-
-// ckSweepPoint is the persisted subset of a SweepPoint; the Config is
-// refilled from the sweep's own input, so it never round-trips through JSON.
-type ckSweepPoint struct {
-	Label       string  `json:"label"`
-	SingleBatch float64 `json:"single_batch"`
-	MaxBatch    float64 `json:"max_batch"`
-	AreaRel     float64 `json:"area_rel"`
-}
-
-// sweepKey is the checkpoint key of one sweep point: the full configuration
-// fingerprint plus the fault-model key, so a resumed run can only reuse
-// points computed under identical modeling conditions.
-func sweepKey(cfg arch.Config, fm *faultinject.Model) string {
-	return "sweep:" + simcache.ConfigKey(cfg) + fm.Key()
-}
 
 // geomean of a slice (the figures' cross-workload aggregate).
 func geomean(xs []float64) float64 {
@@ -129,49 +99,21 @@ func sweep(ctx context.Context, cfg arch.Config, base map[string]float64, baseAr
 	}, nil
 }
 
-// sweepAllOpts evaluates every configuration as one parallel batch of sweep
-// points, preserving input order, with cancellation, fault injection and
-// checkpointing. Checkpointed points are returned without any simulation;
-// when every point is checkpointed, not even the Baseline references are
-// recomputed, so a fully resumed sweep costs zero simulation work.
-func sweepAllOpts(ctx context.Context, cfgs []arch.Config, o SweepOptions) ([]SweepPoint, error) {
-	out := make([]SweepPoint, len(cfgs))
-	var pending []int
-	for i, cfg := range cfgs {
-		var ck ckSweepPoint
-		if o.Checkpoint.Get(sweepKey(cfg, o.Fault), &ck) {
-			out[i] = SweepPoint{Label: ck.Label, SingleBatch: ck.SingleBatch,
-				MaxBatch: ck.MaxBatch, AreaRel: ck.AreaRel, Config: cfg}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return out, nil
-	}
-	base, err := baselineThroughputs(ctx, o.Fault)
+// sweepAll evaluates every configuration as one parallel batch of sweep
+// points, preserving input order, with cancellation and fault injection.
+// A nil fm is the nominal sweep.
+func sweepAll(ctx context.Context, cfgs []arch.Config, fm *faultinject.Model) ([]SweepPoint, error) {
+	base, err := baselineThroughputs(ctx, fm)
 	if err != nil {
 		return nil, err
 	}
-	bArea, err := baselineArea(ctx, o.Fault)
+	bArea, err := baselineArea(ctx, fm)
 	if err != nil {
 		return nil, err
 	}
-	err = parallel.ForEachContext(ctx, len(pending), func(ctx context.Context, k int) error {
-		i := pending[k]
-		p, err := sweep(ctx, cfgs[i], base, bArea, o.Fault)
-		if err != nil {
-			return err
-		}
-		out[i] = p
-		return o.Checkpoint.Put(sweepKey(cfgs[i], o.Fault), ckSweepPoint{
-			Label: p.Label, SingleBatch: p.SingleBatch, MaxBatch: p.MaxBatch, AreaRel: p.AreaRel,
-		})
+	return parallel.MapContext(ctx, len(cfgs), func(ctx context.Context, i int) (SweepPoint, error) {
+		return sweep(ctx, cfgs[i], base, bArea, fm)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func baselineArea(ctx context.Context, fm *faultinject.Model) (float64, error) {
@@ -184,14 +126,8 @@ func baselineArea(ctx context.Context, fm *faultinject.Model) (float64, error) {
 
 // ExploreDivision reproduces the Fig. 20 sweep: the Baseline, psum/ofmap
 // integration (division 2), then growing division degrees. All sweep points
-// evaluate concurrently.
-func ExploreDivision(degrees []int) ([]SweepPoint, error) {
-	return ExploreDivisionOpts(context.Background(), degrees, SweepOptions{})
-}
-
-// ExploreDivisionOpts is ExploreDivision with cancellation, fault injection
-// and checkpoint/resume.
-func ExploreDivisionOpts(ctx context.Context, degrees []int, o SweepOptions) ([]SweepPoint, error) {
+// evaluate concurrently; fm perturbs every simulation (nil is nominal).
+func ExploreDivision(ctx context.Context, degrees []int, fm *faultinject.Model) ([]SweepPoint, error) {
 	integ := arch.BufferOpt()
 	integ.IfmapChunks, integ.OutputChunks = 2, 2
 	integ.Name = "+Integration"
@@ -203,7 +139,7 @@ func ExploreDivisionOpts(ctx context.Context, degrees []int, o SweepOptions) ([]
 		c.Name = fmt.Sprintf("+Division %d", d)
 		cfgs = append(cfgs, c)
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }
 
 // WidthPoint is one Fig. 21 resource-balancing configuration: PE-array
@@ -233,31 +169,21 @@ func widthConfig(width, bufMB, regs int) arch.Config {
 }
 
 // ExploreWidth reproduces the Fig. 21 sweep over the given points. All
-// sweep points evaluate concurrently.
-func ExploreWidth(points []WidthPoint) ([]SweepPoint, error) {
-	return ExploreWidthOpts(context.Background(), points, SweepOptions{})
-}
-
-// ExploreWidthOpts is ExploreWidth with cancellation, fault injection and
-// checkpoint/resume.
-func ExploreWidthOpts(ctx context.Context, points []WidthPoint, o SweepOptions) ([]SweepPoint, error) {
+// sweep points evaluate concurrently; fm perturbs every simulation (nil is
+// nominal).
+func ExploreWidth(ctx context.Context, points []WidthPoint, fm *faultinject.Model) ([]SweepPoint, error) {
 	var cfgs []arch.Config
 	for _, wp := range points {
 		cfgs = append(cfgs, widthConfig(wp.Width, wp.BufferMB, 1))
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }
 
 // ExploreRegisters reproduces the Fig. 22 sweep: registers-per-PE scaling
 // at the given array width with its Fig. 21 buffer capacity. All sweep
-// points evaluate concurrently.
-func ExploreRegisters(width int, regCounts []int) ([]SweepPoint, error) {
-	return ExploreRegistersOpts(context.Background(), width, regCounts, SweepOptions{})
-}
-
-// ExploreRegistersOpts is ExploreRegisters with cancellation, fault
-// injection and checkpoint/resume.
-func ExploreRegistersOpts(ctx context.Context, width int, regCounts []int, o SweepOptions) ([]SweepPoint, error) {
+// points evaluate concurrently; fm perturbs every simulation (nil is
+// nominal).
+func ExploreRegisters(ctx context.Context, width int, regCounts []int, fm *faultinject.Model) ([]SweepPoint, error) {
 	bufMB := 46
 	if width == 128 {
 		bufMB = 38
@@ -266,5 +192,5 @@ func ExploreRegistersOpts(ctx context.Context, width int, regCounts []int, o Swe
 	for _, r := range regCounts {
 		cfgs = append(cfgs, widthConfig(width, bufMB, r))
 	}
-	return sweepAllOpts(ctx, cfgs, o)
+	return sweepAll(ctx, cfgs, fm)
 }

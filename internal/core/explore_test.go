@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestExploreDivision(t *testing.T) {
-	points, err := ExploreDivision([]int{4, 64, 4096})
+	points, err := ExploreDivision(context.Background(), []int{4, 64, 4096}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestExploreDivision(t *testing.T) {
 }
 
 func TestExploreWidthShape(t *testing.T) {
-	points, err := ExploreWidth(Fig21Points())
+	points, err := ExploreWidth(context.Background(), Fig21Points(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestExploreWidthShape(t *testing.T) {
 
 func TestExploreRegistersShape(t *testing.T) {
 	regs := []int{1, 8}
-	w64, err := ExploreRegisters(64, regs)
+	w64, err := ExploreRegisters(context.Background(), 64, regs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w128, err := ExploreRegisters(128, regs)
+	w128, err := ExploreRegisters(context.Background(), 128, regs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

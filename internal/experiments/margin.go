@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/faultinject"
 	"supernpu/internal/jsim"
 	"supernpu/internal/npusim"
@@ -32,9 +31,6 @@ type MarginSweepOptions struct {
 	PulseDropPerSpread float64
 	BitFlipPerSpread   float64
 	ErosionPerSpread   float64
-	// Checkpoint, when non-nil, records each completed row and lets a
-	// killed sweep resume without re-simulating finished rows.
-	Checkpoint *checkpoint.Store
 }
 
 func (o *MarginSweepOptions) defaults() {
@@ -63,16 +59,16 @@ func (o MarginSweepOptions) model(spread float64) *faultinject.Model {
 	}
 }
 
-// marginRow is one computed (and checkpointed) sweep row.
+// marginRow is one computed sweep row.
 type marginRow struct {
-	Spread        float64 `json:"spread"`
-	MarginLow     float64 `json:"margin_low"`
-	MarginHigh    float64 `json:"margin_high"`
-	Frequency     float64 `json:"frequency"`
-	ThroughputRel float64 `json:"throughput_rel"`
-	Accuracy      float64 `json:"accuracy"`
-	DroppedPulses int64   `json:"dropped_pulses"`
-	RetryCycles   int64   `json:"retry_cycles"`
+	Spread        float64
+	MarginLow     float64
+	MarginHigh    float64
+	Frequency     float64
+	ThroughputRel float64
+	Accuracy      float64
+	DroppedPulses int64
+	RetryCycles   int64
 }
 
 // MarginSweep regenerates the bias-margin robustness exhibit: SuperNPU on
@@ -82,8 +78,7 @@ type marginRow struct {
 // chip frequency at the eroded operating point, throughput relative to the
 // nominal design, the datapath accuracy proxy and the pulse-drop recovery
 // cost. Every draw is seed- and site-keyed, so the table is byte-identical
-// across runs and worker counts; rows already in the checkpoint store are
-// emitted without any simulation.
+// across runs and worker counts.
 func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 	o.defaults()
 	resnet, err := workload.ByName("ResNet50")
@@ -92,63 +87,45 @@ func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 	}
 	cfg := arch.SuperNPU()
 
-	rowKey := func(i int) string {
-		return "margin-sweep:" + cfg.Name + ":" + resnet.Name + o.model(o.IcSpreads[i]).Key()
+	nominal, err := npusim.Simulate(ctx, cfg, resnet, 1)
+	if err != nil {
+		return "", err
 	}
-	rows := make([]marginRow, len(o.IcSpreads))
-	var pending []int
-	for i := range o.IcSpreads {
-		if !o.Checkpoint.Get(rowKey(i), &rows[i]) {
-			pending = append(pending, i)
-		}
+	// The RCSJ transients dominate a cold sweep: evaluate every grid point's
+	// bias margins through the batched chain runner first — one reusable
+	// solver per worker across all bisection probes — then assemble the rows
+	// (cycle simulation) in a second fan-out.
+	models := make([]*faultinject.Model, len(o.IcSpreads))
+	for i, spread := range o.IcSpreads {
+		models[i] = o.model(spread)
 	}
-	// The nominal reference only matters while rows remain to be computed:
-	// a fully checkpointed sweep resumes with zero simulation work.
-	if len(pending) > 0 {
-		nominal, err := npusim.Simulate(ctx, cfg, resnet, 1)
+	margins, err := jsim.BiasMarginsFaultedBatch(ctx, models)
+	if err != nil {
+		return "", err
+	}
+	rows, err := parallel.MapContext(ctx, len(models), func(ctx context.Context, i int) (marginRow, error) {
+		fm := models[i]
+		r, err := npusim.SimulateFaulted(ctx, cfg, resnet, 1, fm)
 		if err != nil {
-			return "", err
+			return marginRow{}, err
 		}
-		// The RCSJ transients dominate a cold sweep: evaluate every pending
-		// grid point's bias margins through the batched chain runner first —
-		// one reusable solver per worker across all bisection probes — then
-		// assemble the rows (cycle simulation + checkpoint) in a second
-		// fan-out. Results are memoised, so a resumed sweep pays nothing.
-		models := make([]*faultinject.Model, len(pending))
-		for k, i := range pending {
-			models[k] = o.model(o.IcSpreads[i])
+		row := marginRow{
+			Spread:        o.IcSpreads[i],
+			MarginLow:     margins[i].Low,
+			MarginHigh:    margins[i].High,
+			Frequency:     r.Frequency,
+			ThroughputRel: r.Throughput / nominal.Throughput,
+			Accuracy:      1,
 		}
-		margins, err := jsim.BiasMarginsFaultedBatch(ctx, models)
-		if err != nil {
-			return "", err
+		if r.Faults != nil {
+			row.Accuracy = r.Faults.Accuracy
+			row.DroppedPulses = r.Faults.DroppedPulses
+			row.RetryCycles = r.Faults.RetryCycles
 		}
-		err = parallel.ForEachContext(ctx, len(pending), func(ctx context.Context, k int) error {
-			i := pending[k]
-			fm := models[k]
-			m := margins[k]
-			r, err := npusim.SimulateFaulted(ctx, cfg, resnet, 1, fm)
-			if err != nil {
-				return err
-			}
-			row := marginRow{
-				Spread:        o.IcSpreads[i],
-				MarginLow:     m.Low,
-				MarginHigh:    m.High,
-				Frequency:     r.Frequency,
-				ThroughputRel: r.Throughput / nominal.Throughput,
-				Accuracy:      1,
-			}
-			if r.Faults != nil {
-				row.Accuracy = r.Faults.Accuracy
-				row.DroppedPulses = r.Faults.DroppedPulses
-				row.RetryCycles = r.Faults.RetryCycles
-			}
-			rows[i] = row
-			return o.Checkpoint.Put(rowKey(i), row)
-		})
-		if err != nil {
-			return "", err
-		}
+		return row, nil
+	})
+	if err != nil {
+		return "", err
 	}
 
 	t := report.NewTable(

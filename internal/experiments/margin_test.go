@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/parallel"
 	"supernpu/internal/simcache"
 )
@@ -51,55 +49,5 @@ func TestMarginSweepSeedChangesExhibit(t *testing.T) {
 	}
 	if a == b {
 		t.Fatal("different seeds produced identical exhibits")
-	}
-}
-
-// totalMisses sums cache misses across every registered simcache.
-func totalMisses(t *testing.T) int64 {
-	t.Helper()
-	var n int64
-	for _, s := range simcache.Snapshot() {
-		n += s.Misses
-	}
-	return n
-}
-
-func TestMarginSweepResumesWithoutResimulating(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "margin.ck")
-	ck, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := smallMarginOpts(9)
-	o.Checkpoint = ck
-	simcache.ClearAll()
-	first, err := MarginSweep(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Len() != len(o.IcSpreads) {
-		t.Fatalf("checkpointed %d rows, want %d", ck.Len(), len(o.IcSpreads))
-	}
-	ck.Close()
-
-	// A fresh process: caches cold, checkpoint reopened. The resumed sweep
-	// must emit the identical exhibit with zero simulation work.
-	simcache.ClearAll()
-	before := totalMisses(t)
-	ck2, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	o.Checkpoint = ck2
-	second, err := MarginSweep(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != first {
-		t.Fatal("resumed sweep differs from the original run")
-	}
-	if d := totalMisses(t) - before; d != 0 {
-		t.Fatalf("resumed sweep re-simulated: %d cache misses", d)
 	}
 }

@@ -23,8 +23,8 @@ type BatchJob struct {
 }
 
 // RunBatch integrates independent chains across the parallel pool with one
-// reused Solver per worker. The error contract is parallel.Map's: the error
-// of the lowest failing job, with fail-fast scheduling after it.
+// reused Solver per worker. The error contract is parallel.MapContext's:
+// the error of the lowest failing job, with fail-fast scheduling after it.
 // Cancellation of ctx stops both the pool's claiming of new jobs and, via
 // each solver's watch, the transients already in flight.
 func RunBatch(ctx context.Context, jobs []BatchJob) error {

@@ -102,6 +102,7 @@ var modelingPackages = map[string]bool{
 	"scalesim":    true,
 	"faultinject": true,
 	"experiments": true,
+	"core":        true,
 }
 
 // fmtPrinters is the set of fmt functions whose map-argument output used

@@ -158,16 +158,15 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	// The sweep runs under the request context (an abandoned client stops
 	// scheduling new points) and the service's fault model, if any.
-	o := core.SweepOptions{Fault: s.opts.Fault}
 	var pts []core.SweepPoint
 	var err error
 	switch strings.ToLower(req.Sweep) {
 	case "division":
-		pts, err = core.ExploreDivisionOpts(r.Context(), req.Degrees, o)
+		pts, err = core.ExploreDivision(r.Context(), req.Degrees, s.opts.Fault)
 	case "width":
-		pts, err = core.ExploreWidthOpts(r.Context(), core.Fig21Points(), o)
+		pts, err = core.ExploreWidth(r.Context(), core.Fig21Points(), s.opts.Fault)
 	case "registers":
-		pts, err = core.ExploreRegistersOpts(r.Context(), req.Width, req.Registers, o)
+		pts, err = core.ExploreRegisters(r.Context(), req.Width, req.Registers, s.opts.Fault)
 	}
 	if err != nil {
 		status := http.StatusUnprocessableEntity

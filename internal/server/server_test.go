@@ -236,9 +236,9 @@ func TestListingsAndStats(t *testing.T) {
 		t.Fatalf("degenerate stats: %+v", stats)
 	}
 
-	status, body = get(t, ts.URL+"/debug/vars")
-	if status != http.StatusOK || !strings.Contains(string(body), "supernpu.server.requests") {
-		t.Fatalf("expvar = %d", status)
+	// /metrics is the one metrics surface; there is no expvar route.
+	if status, _ := get(t, ts.URL+"/debug/vars"); status != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars = %d, want 404", status)
 	}
 
 	// Unknown routes and wrong methods are 404/405.

@@ -29,7 +29,6 @@ import (
 	"math/rand"
 
 	"supernpu/internal/arch"
-	"supernpu/internal/checkpoint"
 	"supernpu/internal/core"
 	"supernpu/internal/dau"
 	"supernpu/internal/estimator"
@@ -155,33 +154,11 @@ func EstimateDesign(ctx context.Context, d Design) (*Estimate, error) {
 // die-level and post-layout references.
 func ValidateModels() estimator.Report { return estimator.Validate() }
 
-// ExploreDivision sweeps the buffer division degree (Fig. 20).
-func ExploreDivision(degrees []int) ([]SweepPoint, error) { return core.ExploreDivision(degrees) }
-
-// ExploreWidth sweeps PE-array width with rebalanced buffers (Fig. 21).
-func ExploreWidth() ([]SweepPoint, error) { return core.ExploreWidth(core.Fig21Points()) }
-
-// ExploreRegisters sweeps registers per PE at a given array width (Fig. 22).
-func ExploreRegisters(width int, regs []int) ([]SweepPoint, error) {
-	return core.ExploreRegisters(width, regs)
-}
-
 // FaultModel is the deterministic, seed-keyed SFQ fault model: critical-
 // current spread, thermal pulse drops, datapath bit flips, timing-margin
 // erosion and whole-simulation aborts, every draw a pure function of
 // (seed, site). A nil or zero-rate model is exactly the nominal path.
 type FaultModel = faultinject.Model
-
-// SweepOptions carries the resilience knobs of the exploration sweeps:
-// a fault model and a checkpoint store for kill/resume.
-type SweepOptions = core.SweepOptions
-
-// Checkpoint is a crash-tolerant snapshot store for long sweeps: completed
-// points append to a JSONL file and a resumed run skips them entirely.
-type Checkpoint = checkpoint.Store
-
-// OpenCheckpoint opens (creating if absent) a checkpoint file.
-func OpenCheckpoint(path string) (*Checkpoint, error) { return checkpoint.Open(path) }
 
 // EvaluateWithFaults is Evaluate under a fault model: junction spread
 // perturbs the operating point, pulse drops charge recirculation cycles,
@@ -197,22 +174,25 @@ func EvaluateAnalytical(ctx context.Context, d Design, net Network, batch int) (
 	return core.EvaluateAnalytical(ctx, d, net, batch)
 }
 
-// ExploreDivisionOpts is ExploreDivision with cancellation, fault injection
-// and checkpoint/resume.
-func ExploreDivisionOpts(ctx context.Context, degrees []int, o SweepOptions) ([]SweepPoint, error) {
-	return core.ExploreDivisionOpts(ctx, degrees, o)
+// ExploreDivision sweeps the buffer division degree (Fig. 20). A non-nil
+// fault model perturbs every simulation of the sweep, including the
+// Baseline normalisation references; nil is the nominal sweep.
+// Cancellation of ctx stops the sweep with an error matching
+// guard.ErrCanceled (guard.ErrDeadlineExceeded for an expired deadline).
+func ExploreDivision(ctx context.Context, degrees []int, fm *FaultModel) ([]SweepPoint, error) {
+	return core.ExploreDivision(ctx, degrees, fm)
 }
 
-// ExploreWidthOpts is ExploreWidth with cancellation, fault injection and
-// checkpoint/resume.
-func ExploreWidthOpts(ctx context.Context, o SweepOptions) ([]SweepPoint, error) {
-	return core.ExploreWidthOpts(ctx, core.Fig21Points(), o)
+// ExploreWidth sweeps PE-array width with rebalanced buffers (Fig. 21),
+// with cancellation and fault injection as in ExploreDivision.
+func ExploreWidth(ctx context.Context, fm *FaultModel) ([]SweepPoint, error) {
+	return core.ExploreWidth(ctx, core.Fig21Points(), fm)
 }
 
-// ExploreRegistersOpts is ExploreRegisters with cancellation, fault
-// injection and checkpoint/resume.
-func ExploreRegistersOpts(ctx context.Context, width int, regs []int, o SweepOptions) ([]SweepPoint, error) {
-	return core.ExploreRegistersOpts(ctx, width, regs, o)
+// ExploreRegisters sweeps registers per PE at a given array width
+// (Fig. 22), with cancellation and fault injection as in ExploreDivision.
+func ExploreRegisters(ctx context.Context, width int, regs []int, fm *FaultModel) ([]SweepPoint, error) {
+	return core.ExploreRegisters(ctx, width, regs, fm)
 }
 
 // MarginSweepOptions configures the bias-margin robustness exhibit.
@@ -221,7 +201,7 @@ type MarginSweepOptions = experiments.MarginSweepOptions
 // MarginSweep regenerates the bias-margin-vs-throughput/accuracy exhibit:
 // SuperNPU on ResNet-50 swept over junction critical-current spread under
 // the seeded fault model. Byte-identical across runs and worker counts for
-// a fixed seed; checkpointed rows are never re-simulated.
+// a fixed seed.
 func MarginSweep(ctx context.Context, o MarginSweepOptions) (string, error) {
 	return experiments.MarginSweep(ctx, o)
 }

@@ -95,18 +95,19 @@ func TestFacadeValidationAndExperiments(t *testing.T) {
 }
 
 func TestFacadeExploration(t *testing.T) {
-	pts, err := ExploreDivision([]int{64})
+	ctx := context.Background()
+	pts, err := ExploreDivision(ctx, []int{64}, nil)
 	if err != nil || len(pts) != 3 {
 		t.Fatalf("ExploreDivision: %v (%d points)", err, len(pts))
 	}
 	if pts[2].MaxBatch <= pts[0].MaxBatch {
 		t.Fatal("division 64 must beat the Baseline")
 	}
-	w, err := ExploreWidth()
+	w, err := ExploreWidth(ctx, nil)
 	if err != nil || len(w) != 5 {
 		t.Fatalf("ExploreWidth: %v", err)
 	}
-	r, err := ExploreRegisters(64, []int{1, 8})
+	r, err := ExploreRegisters(ctx, 64, []int{1, 8}, nil)
 	if err != nil || len(r) != 2 {
 		t.Fatalf("ExploreRegisters: %v", err)
 	}
